@@ -7,7 +7,7 @@
 //                          [--trace out.json] [--trace-limit N] [--metrics]
 //                          [--faults SPEC] [--retry N] [--timeout-ms T]
 //                          [--rps R] [--sweep N]
-//                          [--nodes N] [--router POLICY] [--sim-threads N]
+//                          [--nodes N] [--router POLICY]
 //                          [--serve-obs PORT] [--obs-linger-ms MS]
 //                          [--recorder] [--recorder-capacity N]
 //                          [--recorder-dump PATH]
@@ -35,12 +35,8 @@
 // --nodes shards the simulated cluster into N nodes, each with its own
 // capacity, warm pool, and queue; --router picks the placement policy
 // (round_robin|random|least_outstanding|power_of_two|warm_affinity).
-// Both apply to the fault run and to every --sweep scenario. One node
-// (the default) reproduces the pooled model exactly. A `node=P` key in
-// --faults arms whole-node crashes (sharded runs only). --sim-threads N
-// runs each multi-node simulation on N window workers (0 = one per
-// hardware thread); results are bit-identical whatever N, so the knob
-// only buys wall-clock.
+// Both apply to the fault run and to every --sweep scenario. A `node=P`
+// key in --faults arms whole-node crashes.
 //
 // --sweep N scores the deployed plan under N traffic scenarios at once:
 // offered load is spread 0.5x..2x around --rps, each scenario is run
@@ -122,7 +118,6 @@ int main(int argc, char** argv) {
   TimeMs timeout_ms = 0.0;     // 0 = no per-request deadline
   double offered_rps = 50.0;
   std::size_t cluster_nodes = 1;
-  std::size_t sim_threads = 1;
   RouterPolicy router_policy = RouterPolicy::kRoundRobin;
   std::size_t sweep_n = 0;     // scenarios for --sweep (0 = off)
   bool fault_run = false;      // any of --faults/--retry/--timeout-ms
@@ -167,8 +162,6 @@ int main(int argc, char** argv) {
         std::cerr << "--nodes must be >= 1\n";
         return 2;
       }
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      sim_threads = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else if (arg == "--router" && i + 1 < argc) {
       try {
         router_policy = parse_router_policy(argv[++i]);
@@ -196,7 +189,6 @@ int main(int argc, char** argv) {
                arg == "--faults" || arg == "--retry" ||
                arg == "--timeout-ms" || arg == "--rps" ||
                arg == "--sweep" || arg == "--nodes" || arg == "--router" ||
-               arg == "--sim-threads" ||
                arg == "--serve-obs" || arg == "--obs-linger-ms" ||
                arg == "--recorder-capacity" || arg == "--recorder-dump" ||
                arg == "--trace-limit") {
@@ -320,7 +312,6 @@ int main(int argc, char** argv) {
     }
     ClusterConfig cluster;
     cluster.nodes = cluster_nodes;
-    cluster.sim_threads = sim_threads;
     cluster.router = router_policy;
     cluster.offered_rps = offered_rps;
     cluster.faults = faults;
@@ -342,11 +333,6 @@ int main(int argc, char** argv) {
               << ", " << format_fixed(offered_rps, 0) << " rps, "
               << cluster_nodes << " node" << (cluster_nodes == 1 ? "" : "s")
               << ", router " << to_string(router_policy);
-    if (cluster_nodes > 1 && sim_threads != 1) {
-      std::cout << ", sim threads "
-                << (sim_threads == 0 ? std::string("auto")
-                                     : std::to_string(sim_threads));
-    }
     std::cout << ")\n";
     Table outcome({"offered", "completed", "failed", "retried", "timed_out",
                    "dropped", "p95_ms"});
@@ -402,7 +388,6 @@ int main(int argc, char** argv) {
                                  static_cast<double>(sweep_n - 1);
       ScenarioSpec spec;
       spec.config.nodes = cluster_nodes;
-      spec.config.sim_threads = sim_threads;
       spec.config.router = router_policy;
       spec.config.offered_rps = offered_rps * factor;
       spec.config.faults = faults;

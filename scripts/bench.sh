@@ -48,7 +48,7 @@ cmake -B "${BENCH_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${BENCH_BUILD_DIR}" -j "${JOBS}" \
   --target bench_micro_pgp bench_micro_predictor bench_micro_fault \
            bench_micro_obs bench_micro_sweep bench_micro_cluster \
-           bench_micro_router bench_micro_parallel
+           bench_micro_router
 
 if [[ "${SMOKE}" == "1" ]]; then
   # One tiny repetition per suite: proves the binaries run and produce
@@ -75,9 +75,6 @@ if [[ "${SMOKE}" == "1" ]]; then
   "${BENCH_BUILD_DIR}/bench/bench_micro_router" \
     --benchmark_filter='BM_RouterPolicy/warm_affinity$' \
     --benchmark_min_time=0.01 --benchmark_format=json >/dev/null
-  "${BENCH_BUILD_DIR}/bench/bench_micro_parallel" \
-    --benchmark_filter='BM_ClusterRunParallel/nodes8/65536' \
-    --benchmark_min_time=0.01 --benchmark_format=json >/dev/null
   echo "== bench: smoke OK =="
   exit 0
 fi
@@ -89,7 +86,6 @@ OBS_JSON="${BENCH_BUILD_DIR}/micro_obs.json"
 SWEEP_JSON="${BENCH_BUILD_DIR}/micro_sweep.json"
 CLUSTER_JSON="${BENCH_BUILD_DIR}/micro_cluster.json"
 ROUTER_JSON="${BENCH_BUILD_DIR}/micro_router.json"
-PARALLEL_JSON="${BENCH_BUILD_DIR}/micro_parallel.json"
 
 # Runs one suite to JSON. Under the high-load gate each suite runs
 # twice back-to-back and the second pass wins: by then the competing
@@ -114,16 +110,14 @@ run_suite micro_obs "${BENCH_BUILD_DIR}/bench/bench_micro_obs" "${OBS_JSON}"
 run_suite micro_sweep "${BENCH_BUILD_DIR}/bench/bench_micro_sweep" "${SWEEP_JSON}"
 run_suite micro_cluster "${BENCH_BUILD_DIR}/bench/bench_micro_cluster" "${CLUSTER_JSON}"
 run_suite micro_router "${BENCH_BUILD_DIR}/bench/bench_micro_router" "${ROUTER_JSON}"
-run_suite micro_parallel "${BENCH_BUILD_DIR}/bench/bench_micro_parallel" "${PARALLEL_JSON}"
 
 python3 - "$PGP_JSON" "$PRED_JSON" "$FAULT_JSON" "$OBS_JSON" "$SWEEP_JSON" \
-  "$CLUSTER_JSON" "$ROUTER_JSON" "$PARALLEL_JSON" "$LOAD_AVG_START" \
-  "$HIGH_LOAD" "$BASELINE" <<'PY'
+  "$CLUSTER_JSON" "$ROUTER_JSON" "$LOAD_AVG_START" "$HIGH_LOAD" \
+  "$BASELINE" <<'PY'
 import json, sys
 
 (pgp_path, pred_path, fault_path, obs_path, sweep_path, cluster_path,
- router_path, parallel_path, load_avg_start, high_load,
- baseline_path) = sys.argv[1:12]
+ router_path, load_avg_start, high_load, baseline_path) = sys.argv[1:11]
 out = {
     "bench": "deploy",
     "build_type": "Release",
@@ -138,7 +132,6 @@ out = {
     "micro_sweep": json.load(open(sweep_path)),
     "micro_cluster": json.load(open(cluster_path)),
     "micro_router": json.load(open(router_path)),
-    "micro_parallel": json.load(open(parallel_path)),
 }
 
 # Surface the benchmark library's own build type: timings taken against a
@@ -201,33 +194,6 @@ if fast64 and ref64:
           % (cluster["fast"]["big_o"] if cluster["fast"] else "?",
              cluster["speedup_at_65536"]))
 out["cluster_hotpath"] = cluster
-
-# Windowed-engine scaling: the multi-node serving loop at sim_threads=1
-# vs 4 window workers on healthy 8- and 32-node fleets. check.sh guards
-# the 4-thread speedup on the 32-node scenario (>= 2x, enforced only
-# when the host actually has >= 4 CPUs) and the parallel fit staying at
-# or below N log N.
-import os
-parallel = {"cpus_online": os.cpu_count() or 1}
-for nodes in ("nodes8", "nodes32"):
-    entry = {
-        "sequential": bigo("micro_parallel",
-                           "BM_ClusterRunSharded/%s/real_time" % nodes),
-        "parallel": bigo("micro_parallel",
-                         "BM_ClusterRunParallel/%s/real_time" % nodes),
-    }
-    seq = time_at("micro_parallel",
-                  "BM_ClusterRunSharded/%s/1048576/real_time" % nodes)
-    par = time_at("micro_parallel",
-                  "BM_ClusterRunParallel/%s/1048576/real_time" % nodes)
-    if seq and par:
-        entry["speedup_at_1048576"] = seq / par
-        print("parallel loop %-7s: BigO %s, %.2fx at 4 threads / 1M requests"
-              % (nodes,
-                 entry["parallel"]["big_o"] if entry["parallel"] else "?",
-                 entry["speedup_at_1048576"]))
-    parallel[nodes] = entry
-out["parallel_loop"] = parallel
 
 # Router-policy comparison on the skewed 8-node burst scenario: cold
 # starts and p95 per placement policy. check.sh guards warm_affinity

@@ -81,19 +81,7 @@ double FlightRecorder::now_ms() const {
       .count();
 }
 
-namespace {
-// -1 = unbound (hash placement); otherwise the bound stripe index.
-thread_local std::ptrdiff_t t_stripe_hint = -1;
-}  // namespace
-
-void FlightRecorder::bind_thread_stripe(std::size_t index) {
-  t_stripe_hint = static_cast<std::ptrdiff_t>(index % kStripes);
-}
-
 FlightRecorder::Stripe& FlightRecorder::stripe_for_current_thread() {
-  if (t_stripe_hint >= 0) {
-    return stripes_[static_cast<std::size_t>(t_stripe_hint)];
-  }
   const std::size_t h =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
   return stripes_[h % kStripes];

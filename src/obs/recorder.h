@@ -107,15 +107,6 @@ class FlightRecorder {
   void record(RecKind kind, std::uint64_t request, std::uint32_t attempt,
               double ts_ms, double value = 0.0, std::int32_t node = -1);
 
-  /// Pins the calling thread to stripe `index % kStripes` for every
-  /// subsequent record() (process-wide: the hint applies to all
-  /// recorders). Long-lived workers — e.g. the windowed cluster engine's
-  /// window workers — bind distinct indices so each worker owns one
-  /// stripe: no two workers contend on a stripe lock, and per-worker
-  /// write order is preserved within its stripe. Unbound threads keep
-  /// the thread-id-hash placement.
-  static void bind_thread_stripe(std::size_t index);
-
   /// Wall-clock milliseconds since this recorder's epoch (steady clock).
   double now_ms() const;
 

@@ -11,14 +11,13 @@
 //
 // pick() is allocation-free and draws only from the router's private Rng
 // stream, so enabling a randomized policy never perturbs the simulation's
-// service-time draws — a sharded nodes=1 run stays bit-identical to the
-// pooled loop no matter which policy is configured.
+// service-time draws — a nodes=1 run stays bit-identical to the
+// single-node reference loop no matter which policy is configured.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 
@@ -65,39 +64,6 @@ class Router {
   std::size_t nodes_;
   std::uint32_t rr_next_ = 0;
   Rng rng_;
-};
-
-/// Barrier-published routing snapshot for the windowed parallel engine.
-/// Stateful policies (least_outstanding, power_of_two, warm_affinity)
-/// cannot read live per-node state while workers advance their windows,
-/// so the coordinator republishes every node's view at each window
-/// barrier and routes the whole batch of pending dispatches against it.
-/// apply_pick() folds each decision back into the snapshot (one more
-/// outstanding attempt; one warm instance claimed) so consecutive picks
-/// in the same batch see each other — the same self-consistency the
-/// sequential loop gets by refreshing views before every pick.
-class RouterSnapshot {
- public:
-  explicit RouterSnapshot(std::size_t nodes) : views_(nodes) {}
-
-  void publish(std::size_t k, std::uint32_t outstanding, std::uint32_t warm) {
-    views_[k].outstanding = outstanding;
-    views_[k].warm = warm;
-  }
-
-  /// Synthetic post-pick update: the routed attempt now occupies `k`.
-  void apply_pick(std::size_t k) {
-    ++views_[k].outstanding;
-    if (views_[k].warm > 0) --views_[k].warm;
-  }
-
-  const RouterNodeView* data() const { return views_.data(); }
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(views_.size());
-  }
-
- private:
-  std::vector<RouterNodeView> views_;
 };
 
 }  // namespace chiron

@@ -62,44 +62,22 @@ TEST(ObsRecorderTest, TimelineFiltersOneRequest) {
   EXPECT_EQ(t[0].request, 2u);
 }
 
-TEST(ObsRecorderTest, BoundStripeWriterOwnsExactlyOneStripe) {
-  // A thread that binds a stripe index writes only that stripe: with 2
-  // slots per stripe, a bound writer's survivors are exactly that
-  // stripe's ring, however many events it records. The binding is
-  // thread-local, so it is taken on a scratch thread (it must never leak
-  // into later tests via the main thread).
-  FlightRecorder rec(16);  // 2 slots per stripe
-  rec.set_enabled(true);
-  std::thread writer([&] {
-    FlightRecorder::bind_thread_stripe(3);
-    for (std::uint64_t i = 0; i < 50; ++i) {
-      rec.record(RecKind::kMark, i + 1, 0, static_cast<double>(i));
-    }
-  });
-  writer.join();
-  EXPECT_EQ(rec.recorded_count(), 50u);
-  const std::vector<RecorderEvent> kept = rec.snapshot();
-  EXPECT_EQ(kept.size(), 2u);  // one stripe's ring, not a hash spread
-  EXPECT_EQ(kept.size() + rec.dropped_count(), 50u);
-  // The survivors are the newest records of the bound stripe.
-  EXPECT_EQ(kept.back().request, 50u);
-}
-
 TEST(ObsRecorderTest, ConcurrentBoundStripesConserveAndTimelinesTimeSort) {
-  // The windowed cluster engine's pattern: W persistent workers, each
-  // bound to its own stripe, recording one shared request's events with
-  // interleaved simulated timestamps. Conservation must hold exactly
-  // (recorded == retained + dropped) and the per-request timeline must
-  // come back (ts_ms, seq)-ordered even though the global seq order —
-  // wall-clock race order across workers — scrambles simulated time.
+  // W concurrent writers, each on its thread-hashed stripe, recording
+  // one shared request's events with interleaved simulated timestamps.
+  // Conservation must hold exactly (recorded == retained + dropped) and
+  // the per-request timeline must come back (ts_ms, seq)-ordered even
+  // though the global seq order — wall-clock race order across writers —
+  // scrambles simulated time.
   constexpr std::size_t kWorkers = 4;
   constexpr std::uint64_t kPerWorker = 400;
-  FlightRecorder rec(8192);  // large enough: nothing dropped
+  // Every stripe can hold every event, so nothing is dropped even if all
+  // writers hash to the same stripe.
+  FlightRecorder rec(FlightRecorder::kStripes * kWorkers * kPerWorker);
   rec.set_enabled(true);
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
-      FlightRecorder::bind_thread_stripe(w);
       for (std::uint64_t i = 0; i < kPerWorker; ++i) {
         // Worker w stamps times w, w + kWorkers, w + 2*kWorkers, ... so
         // the merged time order interleaves all four workers.

@@ -111,54 +111,6 @@ std::pair<std::uint64_t, std::size_t> count_sharded_run(double offered_rps) {
   return {allocs, result.offered};
 }
 
-/// The windowed engine with real worker threads (sim_threads = 4): the
-/// pool, barrier, futures, and per-shard buffers are all part of setup;
-/// the per-window loop — barrier signalling included — must allocate
-/// nothing in steady state.
-std::pair<std::uint64_t, std::size_t> count_parallel_run(double offered_rps) {
-  ClusterConfig config = churn_config(offered_rps);
-  config.nodes = 4;
-  config.router = RouterPolicy::kWarmAffinity;
-  config.sim_threads = 4;
-  const PodBackend backend(35.0);
-  const RuntimeParams params = RuntimeParams::defaults();
-  Rng rng(config.seed);
-  ArrivalGenerator gen(config.arrivals, config.offered_rps, rng.split());
-  const std::vector<TimeMs> arrivals = gen.generate(config.horizon_ms);
-  const ClusterSimulator sim(config, params);
-
-  testsupport::ScopedAllocCounter counter;
-  const ClusterResult result = sim.run_prepared(backend, 1, arrivals, 1);
-  const std::uint64_t allocs = counter.count();
-
-  EXPECT_EQ(result.offered, result.completed + result.timed_out +
-                                result.dropped);
-  EXPECT_GT(result.completed, 0u);
-  EXPECT_GT(result.failed, 0u);
-  EXPECT_EQ(result.node_results.size(), 4u);
-  return {allocs, result.offered};
-}
-
-TEST(ClusterAllocationTest, ParallelEngineAllocationsDoNotScaleWithRequests) {
-  if (!testsupport::alloc_counting_supported()) {
-    GTEST_SKIP() << "allocation counting disabled under sanitizers";
-  }
-  const auto [small_allocs, small_offered] = count_parallel_run(400.0);
-  const auto [big_allocs, big_offered] = count_parallel_run(1600.0);
-  ASSERT_GT(big_offered, small_offered + 8000u);
-
-  // Setup additionally spawns the pool threads, the barrier, and the
-  // worker futures — still a constant. Thread creation allocates more
-  // than plain buffers, so the absolute budget is looser; the growth
-  // bound is the claim that matters.
-  EXPECT_LT(small_allocs, 192u);
-  EXPECT_LE(big_allocs, small_allocs + 16u)
-      << "serving " << (big_offered - small_offered)
-      << " more requests allocated " << (big_allocs - small_allocs)
-      << " more times: the windowed engine's per-event path is no longer "
-         "allocation-free";
-}
-
 TEST(ClusterAllocationTest, ShardedLoopAllocationsDoNotScaleWithRequests) {
   if (!testsupport::alloc_counting_supported()) {
     GTEST_SKIP() << "allocation counting disabled under sanitizers";
@@ -167,7 +119,7 @@ TEST(ClusterAllocationTest, ShardedLoopAllocationsDoNotScaleWithRequests) {
   const auto [big_allocs, big_offered] = count_sharded_run(1600.0);
   ASSERT_GT(big_offered, small_offered + 8000u);
 
-  // Setup reserves a few more buffers than the pooled loop (per-node
+  // Setup reserves a few more buffers than a one-node run (per-node
   // rings, router views, per-node sinks) — still a small constant.
   EXPECT_LT(small_allocs, 96u);
   EXPECT_LE(big_allocs, small_allocs + 8u)
