@@ -1,6 +1,7 @@
 #include "platform/plan_backend.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "core/predictor.h"
@@ -16,11 +17,59 @@ double cpu_fraction(const FunctionBehavior& b) {
   return total <= 0.0 ? 1.0 : b.total_cpu() / total;
 }
 
-void shift_spans(std::vector<TimelineSpan>& spans, TimeMs by) {
-  for (TimelineSpan& s : spans) {
-    s.begin += by;
-    s.end += by;
+// Maps a group-local time to final request time with the operations in a
+// fixed order: group start offset, CPU-cap dilation, wrap start within
+// the request, whole-run scale. True-parallel wraps use base 0 and
+// dilation 1, which leave every value unchanged.
+struct TimeMap {
+  TimeMs base;
+  double dilation;
+  TimeMs shift;
+  double scale;
+
+  TimeMs operator()(TimeMs v) const {
+    return ((v + base) * dilation + shift) * scale;
   }
+};
+
+// Appends one timeline per member of `g`, taking over each task's spans
+// and mapping every time through `map`.
+void emit_group(const ProcessGroup& g, std::span<TaskResult> tasks,
+                const TimeMap& map, std::vector<FunctionTimeline>& out) {
+  for (std::size_t i = 0; i < g.functions.size(); ++i) {
+    TaskResult& task = tasks[i];
+    FunctionTimeline& tl = out.emplace_back();
+    tl.id = g.functions[i];
+    tl.invoke_ms = map(task.ready_ms);
+    tl.start_exec_ms = map(task.start_ms);
+    tl.finish_ms = map(task.finish_ms);
+    for (TimelineSpan& s : task.spans) {
+      s.begin = map(s.begin);
+      s.end = map(s.end);
+    }
+    tl.spans = std::move(task.spans);
+  }
+}
+
+struct GroupRun {
+  TimeMs base = 0.0;
+  TimeMs exec = 0.0;
+  InterleaveResult result;
+};
+
+// Per-thread working memory of simulate_wrap, reused across requests so
+// the jittered behaviours and group outcomes stop allocating once warm.
+struct WrapScratch {
+  std::vector<ThreadTask> tasks;          // one wrap's or group's tasks
+  std::vector<ThreadTask> process_tasks;  // CPU-cap second level
+  std::vector<GroupRun> runs;
+};
+
+// The first `n` entries of `pool`, grown if needed.
+template <typename T>
+std::span<T> prefix(std::vector<T>& pool, std::size_t n) {
+  if (pool.size() < n) pool.resize(n);
+  return {pool.data(), n};
 }
 
 }  // namespace
@@ -35,6 +84,19 @@ WrapPlanBackend::WrapPlanBackend(std::string name, RuntimeParams params,
       runtime_(wf_.function_count() > 0 ? wf_.function(0).runtime
                                         : Runtime::kPython3) {
   plan_.validate(wf_);
+  base_.reserve(wf_.function_count());
+  for (const StagePlan& sp : plan_.stages) {
+    for (const Wrap& w : sp.wraps) {
+      for (const ProcessGroup& g : w.processes) {
+        // Pool workers and Java threads run outside a shared interpreter.
+        const bool thread_context =
+            !true_parallel() && (g.mode == ExecMode::kThread || g.size() > 1);
+        for (FunctionId f : g.functions) {
+          base_.push_back(base_behavior(f, thread_context, g.size()));
+        }
+      }
+    }
+  }
 }
 
 TimeMs WrapPlanBackend::jit(TimeMs value, Rng& rng) const {
@@ -63,10 +125,9 @@ TimeMs WrapPlanBackend::spawn_gap() const {
   return params_.thread_startup_ms;
 }
 
-FunctionBehavior WrapPlanBackend::runtime_behavior(FunctionId f,
-                                                   bool thread_context,
-                                                   std::size_t co_resident,
-                                                   Rng& rng) const {
+FunctionBehavior WrapPlanBackend::base_behavior(FunctionId f,
+                                                bool thread_context,
+                                                std::size_t co_resident) const {
   FunctionBehavior b = wf_.function(f).behavior;
   if (thread_context) {
     if (plan_.mode == IsolationMode::kMpk) {
@@ -84,75 +145,53 @@ FunctionBehavior WrapPlanBackend::runtime_behavior(FunctionId f,
       }
     }
   }
-  if (noise_.jitter_sigma > 0.0) {
-    std::vector<Segment> segs = b.segments();
-    for (Segment& s : segs) s.duration *= rng.jitter(noise_.jitter_sigma);
-    b = FunctionBehavior(std::move(segs));
-  }
   return b;
 }
 
-WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
-                                                            Rng& rng) const {
-  WrapOutcome outcome;
+TimeMs WrapPlanBackend::simulate_wrap(const Wrap& w,
+                                      const FunctionBehavior*& base,
+                                      TimeMs shift, double run_scale,
+                                      Rng& rng,
+                                      std::vector<FunctionTimeline>& out) const {
+  thread_local WrapScratch scratch;
   const std::size_t cap = plan_.cpu_cap;
+  const TimeMs gap = spawn_gap();
 
   if (true_parallel()) {
     // Pool workers / Java threads: one flat true-parallel dispatch.
-    std::vector<ThreadTask> tasks;
-    std::vector<FunctionId> ids;
-    const TimeMs gap = spawn_gap();
-    for (const ProcessGroup& g : w.processes) {
-      for (FunctionId f : g.functions) {
-        ThreadTask task;
-        task.behavior = runtime_behavior(f, /*thread_context=*/false,
-                                         /*co_resident=*/1, rng);
-        task.ready_ms = static_cast<TimeMs>(ids.size()) * jit(gap, rng);
-        ids.push_back(f);
-        tasks.push_back(std::move(task));
-      }
+    const std::span<ThreadTask> tasks =
+        prefix(scratch.tasks, w.function_count());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i].behavior.assign_jittered(*base++, noise_.jitter_sigma, rng);
+      tasks[i].ready_ms = static_cast<TimeMs>(i) * jit(gap, rng);
     }
     CpuShareSimulator sim(cap == 0 ? kUncapped : cap, /*record_spans=*/true);
     InterleaveResult result = sim.run(tasks);
     TimeMs ipc = 0.0;
-    if (runtime_ != Runtime::kJava && ids.size() > 1) {
-      ipc = static_cast<TimeMs>(ids.size() - 1) * jit(params_.ipc_pipe_ms, rng);
+    if (runtime_ != Runtime::kJava && tasks.size() > 1) {
+      ipc = static_cast<TimeMs>(tasks.size() - 1) *
+            jit(params_.ipc_pipe_ms, rng);
     }
-    outcome.latency = result.makespan + ipc;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      FunctionTimeline tl;
-      tl.id = ids[i];
-      tl.invoke_ms = result.tasks[i].ready_ms;
-      tl.start_exec_ms = result.tasks[i].start_ms;
-      tl.finish_ms = result.tasks[i].finish_ms;
-      tl.spans = std::move(result.tasks[i].spans);
-      outcome.functions.push_back(std::move(tl));
+    const TimeMap map{0.0, 1.0, shift, run_scale};
+    std::span<TaskResult> rest(result.tasks);
+    for (const ProcessGroup& g : w.processes) {
+      emit_group(g, rest, map, out);
+      rest = rest.subspan(g.size());
     }
-    return outcome;
+    return result.makespan + ipc;
   }
 
   // Process/thread execution: one GIL interpreter per process group.
-  struct GroupRun {
-    TimeMs base = 0.0;
-    TimeMs exec = 0.0;
-    InterleaveResult result;
-    const ProcessGroup* group = nullptr;
-  };
-  std::vector<GroupRun> runs;
+  const std::span<GroupRun> runs = prefix(scratch.runs, w.process_count());
   std::size_t fork_index = 0;
-  const TimeMs gap = spawn_gap();
-  for (const ProcessGroup& g : w.processes) {
-    const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
-    std::vector<ThreadTask> tasks;
-    for (std::size_t i = 0; i < g.functions.size(); ++i) {
-      ThreadTask task;
-      task.behavior =
-          runtime_behavior(g.functions[i], thread_context, g.size(), rng);
-      task.ready_ms = static_cast<TimeMs>(i) * jit(gap, rng);
-      tasks.push_back(std::move(task));
+  for (std::size_t p = 0; p < runs.size(); ++p) {
+    const ProcessGroup& g = w.processes[p];
+    const std::span<ThreadTask> tasks = prefix(scratch.tasks, g.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i].behavior.assign_jittered(*base++, noise_.jitter_sigma, rng);
+      tasks[i].ready_ms = static_cast<TimeMs>(i) * jit(gap, rng);
     }
-    GroupRun run;
-    run.group = &g;
+    GroupRun& run = runs[p];
     if (g.mode == ExecMode::kThread) {
       run.base = 0.0;  // resident orchestrator
     } else {
@@ -176,7 +215,6 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
           plan_.mode == IsolationMode::kSfi ? params_.sfi : params_.mpk;
       run.exec += iso.interaction_ms * static_cast<TimeMs>(g.size() - 1);
     }
-    runs.push_back(std::move(run));
   }
 
   const std::size_t nproc = w.process_count();
@@ -196,43 +234,27 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
   double dilation = 1.0;
   TimeMs capped = uncapped;
   if (cap > 0 && nproc > cap) {
-    std::vector<ThreadTask> ptasks;
-    for (const GroupRun& r : runs) {
-      ThreadTask task;
-      task.behavior = effective_behavior(r.result);
-      task.ready_ms = r.base;
-      ptasks.push_back(std::move(task));
+    const std::span<ThreadTask> ptasks = prefix(scratch.process_tasks, nproc);
+    for (std::size_t p = 0; p < nproc; ++p) {
+      ptasks[p].behavior = effective_behavior(runs[p].result);
+      ptasks[p].ready_ms = runs[p].base;
     }
     CpuShareSimulator sim(cap);
     capped = sim.run(ptasks).makespan + ipc;
     if (uncapped > 0.0) dilation = capped / uncapped;
   }
-  outcome.latency = capped;
 
-  for (GroupRun& r : runs) {
-    for (std::size_t i = 0; i < r.group->functions.size(); ++i) {
-      FunctionTimeline tl;
-      tl.id = r.group->functions[i];
-      TaskResult& task = r.result.tasks[i];
-      tl.invoke_ms = (r.base + task.ready_ms) * dilation;
-      tl.start_exec_ms = (r.base + task.start_ms) * dilation;
-      tl.finish_ms = (r.base + task.finish_ms) * dilation;
-      tl.spans = std::move(task.spans);
-      shift_spans(tl.spans, r.base);
-      if (dilation != 1.0) {
-        for (TimelineSpan& s : tl.spans) {
-          s.begin *= dilation;
-          s.end *= dilation;
-        }
-      }
-      outcome.functions.push_back(std::move(tl));
-    }
+  for (std::size_t p = 0; p < nproc; ++p) {
+    emit_group(w.processes[p], runs[p].result.tasks,
+               TimeMap{runs[p].base, dilation, shift, run_scale}, out);
   }
-  return outcome;
+  return capped;
 }
 
 RunResult WrapPlanBackend::run(Rng& rng) const {
   RunResult result;
+  result.stage_latency_ms.reserve(plan_.stages.size());
+  result.functions.reserve(base_.size());
   // Whole-run load factor: one correlated multiplier per request.
   double run_scale =
       noise_.run_sigma > 0.0 ? rng.jitter(noise_.run_sigma) : 1.0;
@@ -245,6 +267,7 @@ RunResult WrapPlanBackend::run(Rng& rng) const {
     run_scale *= faults->spec().straggler_multiplier;
     note_backend_fault(FaultKind::kStraggler);
   }
+  const FunctionBehavior* base = base_.data();
   TimeMs t = 0.0;
   for (const StagePlan& sp : plan_.stages) {
     TimeMs stage_latency = 0.0;
@@ -267,15 +290,9 @@ RunResult WrapPlanBackend::run(Rng& rng) const {
           note_backend_fault(FaultKind::kTransfer);
         }
       }
-      WrapOutcome outcome = simulate_wrap(sp.wraps[k], rng);
-      stage_latency = std::max(stage_latency, offset + outcome.latency);
-      for (FunctionTimeline& tl : outcome.functions) {
-        tl.invoke_ms += t + offset;
-        tl.start_exec_ms += t + offset;
-        tl.finish_ms += t + offset;
-        shift_spans(tl.spans, t + offset);
-        result.functions.push_back(std::move(tl));
-      }
+      const TimeMs latency = simulate_wrap(sp.wraps[k], base, t + offset,
+                                           run_scale, rng, result.functions);
+      stage_latency = std::max(stage_latency, offset + latency);
     }
     result.stage_latency_ms.push_back(stage_latency);
     t += stage_latency;
@@ -283,15 +300,6 @@ RunResult WrapPlanBackend::run(Rng& rng) const {
   if (run_scale != 1.0) {
     t *= run_scale;
     for (TimeMs& s : result.stage_latency_ms) s *= run_scale;
-    for (FunctionTimeline& tl : result.functions) {
-      tl.invoke_ms *= run_scale;
-      tl.start_exec_ms *= run_scale;
-      tl.finish_ms *= run_scale;
-      for (TimelineSpan& span : tl.spans) {
-        span.begin *= run_scale;
-        span.end *= run_scale;
-      }
-    }
   }
   result.e2e_latency_ms = t;
   result.state_transitions = 0;

@@ -20,7 +20,8 @@
 
 namespace chiron {
 
-/// Simulates a wrap-plan deployment of one workflow.
+/// Simulates a wrap-plan deployment of one workflow. run() may be called
+/// from several threads at once: its working memory is per-thread scratch.
 class WrapPlanBackend : public Backend {
  public:
   WrapPlanBackend(std::string name, RuntimeParams params, Workflow wf,
@@ -33,18 +34,18 @@ class WrapPlanBackend : public Backend {
   const WrapPlan& plan() const { return plan_; }
 
  private:
-  struct WrapOutcome {
-    TimeMs latency = 0.0;  ///< wrap-local completion time
-    std::vector<FunctionTimeline> functions;  ///< wrap-local times
-  };
+  /// Simulates wrap `w`, which starts `shift` ms into the request, and
+  /// appends its functions' timelines in final request time (scaled by
+  /// `run_scale`) to `out`. `base` walks base_ in plan order. Returns the
+  /// wrap-local completion time.
+  TimeMs simulate_wrap(const Wrap& w, const FunctionBehavior*& base,
+                       TimeMs shift, double run_scale, Rng& rng,
+                       std::vector<FunctionTimeline>& out) const;
 
-  /// Simulates one wrap; times are relative to the wrap's own start.
-  WrapOutcome simulate_wrap(const Wrap& w, Rng& rng) const;
-
-  /// True behaviour of `f` as it executes in this run: isolation overhead
-  /// (thread context), co-resident-thread contention, per-segment jitter.
-  FunctionBehavior runtime_behavior(FunctionId f, bool thread_context,
-                                    std::size_t co_resident, Rng& rng) const;
+  /// Deterministic behaviour of `f` as it executes: isolation overhead
+  /// (thread context) and co-resident-thread contention, before jitter.
+  FunctionBehavior base_behavior(FunctionId f, bool thread_context,
+                                 std::size_t co_resident) const;
 
   TimeMs jit(TimeMs value, Rng& rng) const;
   TimeMs spawn_gap() const;
@@ -56,6 +57,11 @@ class WrapPlanBackend : public Backend {
   WrapPlan plan_;
   NoiseConfig noise_;
   Runtime runtime_;
+  /// Every function's behaviour before jitter, in plan order (stage, wrap,
+  /// group, member): the true behaviour plus, in a thread context, the
+  /// isolation overhead and the modelled and residual co-resident
+  /// contention. Only the jitter varies per request.
+  std::vector<FunctionBehavior> base_;
 };
 
 }  // namespace chiron

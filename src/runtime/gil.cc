@@ -2,25 +2,60 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "runtime/interleave_detail.h"
 
 namespace chiron {
 namespace {
 
+using interleave_detail::Ev;
+using interleave_detail::EvLater;
 using interleave_detail::State;
 using interleave_detail::TaskState;
 using interleave_detail::collect;
 using interleave_detail::enter_segment;
+using interleave_detail::heap_pop;
+using interleave_detail::heap_push;
 using interleave_detail::init_states;
 using interleave_detail::kEps;
 using interleave_detail::push_span;
 
+// CFS pick entry: min by exact (cpu, ready, id). The reference scan
+// compares cpu with a +-kEps tolerance; distinct cpu totals are either
+// exactly equal (identical accumulation histories) or separated by more
+// than kEps (every quantum is > kEps), so the exact lexicographic min
+// reproduces the reference fold — see DESIGN.md "Prediction kernel
+// complexity". Entries go stale lazily: `gen` is bumped whenever a
+// task's cpu changes or it leaves the runnable set.
+struct Cand {
+  TimeMs cpu;
+  TimeMs ready;
+  std::size_t id;
+  std::uint64_t gen;
+};
+struct CandLater {
+  bool operator()(const Cand& a, const Cand& b) const {
+    if (a.cpu != b.cpu) return a.cpu > b.cpu;
+    if (a.ready != b.ready) return a.ready > b.ready;
+    return a.id > b.id;
+  }
+};
+
+// Working memory of the fast kernel, kept per thread and reused across
+// runs: once warm, a run allocates only its result.
+struct GilScratch {
+  std::vector<TaskState> states;
+  std::vector<Ev> events;
+  std::vector<Cand> cands;
+  std::vector<std::uint64_t> gen;
+  std::vector<std::size_t> runnable;  // ids of the runnable set
+  std::vector<std::size_t> pos;       // id -> index in `runnable`
+};
+
 // Admits arrivals and expired blocks up to time `now`. Runs to a fixpoint
 // so that a chain of already-expired block segments is fully consumed and
 // next_event() afterwards is strictly in the future.
-void process_events(std::vector<TaskState>& states, TimeMs now, bool record) {
+void process_events(std::span<TaskState> states, TimeMs now, bool record) {
   bool changed = true;
   while (changed) {
     changed = false;
@@ -39,7 +74,7 @@ void process_events(std::vector<TaskState>& states, TimeMs now, bool record) {
 }
 
 // Earliest pending arrival or unblock, or +inf.
-TimeMs next_event(const std::vector<TaskState>& states) {
+TimeMs next_event(std::span<const TaskState> states) {
   TimeMs next = std::numeric_limits<TimeMs>::infinity();
   for (const TaskState& t : states) {
     if (t.state == State::kNotReady) next = std::min(next, t.ready);
@@ -48,7 +83,7 @@ TimeMs next_event(const std::vector<TaskState>& states) {
   return next;
 }
 
-bool all_done(const std::vector<TaskState>& states) {
+bool all_done(std::span<const TaskState> states) {
   return std::all_of(states.begin(), states.end(), [](const TaskState& t) {
     return t.state == State::kDone;
   });
@@ -62,62 +97,35 @@ GilSimulator::GilSimulator(TimeMs switch_interval_ms, bool record_spans,
       record_spans_(record_spans),
       switch_cost_(switch_cost_ms) {}
 
-InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+InterleaveResult GilSimulator::run(std::span<const ThreadTask> tasks) const {
+  thread_local GilScratch scratch;
+  const std::span<TaskState> states = init_states(scratch.states, tasks);
   const std::size_t n = states.size();
   constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
-  // Next-event calendar: one pending entry per kNotReady (its arrival) or
-  // kBlocked (its unblock) task; popped exactly when that transition is
-  // admitted, so entries are never stale. Pop order within a timestamp is
-  // by id, but admissions only touch per-task state, so order is
-  // irrelevant to the result — this is what makes the heap bit-identical
-  // to the reference fixpoint scan.
-  struct Ev {
-    TimeMs at;
-    std::size_t id;
-  };
-  struct EvLater {
-    bool operator()(const Ev& a, const Ev& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
-
-  // CFS pick structure: min by exact (cpu, ready, id). The reference scan
-  // compares cpu with a +-kEps tolerance; distinct cpu totals are either
-  // exactly equal (identical accumulation histories) or separated by more
-  // than kEps (every quantum is > kEps), so the exact lexicographic min
-  // reproduces the reference fold — see DESIGN.md "Prediction kernel
-  // complexity". Entries go stale lazily: `gen` is bumped whenever a
-  // task's cpu changes or it leaves the runnable set.
-  struct Cand {
-    TimeMs cpu;
-    TimeMs ready;
-    std::size_t id;
-    std::uint64_t gen;
-  };
-  struct CandLater {
-    bool operator()(const Cand& a, const Cand& b) const {
-      if (a.cpu != b.cpu) return a.cpu > b.cpu;
-      if (a.ready != b.ready) return a.ready > b.ready;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Cand, std::vector<Cand>, CandLater> cands;
-  std::vector<std::uint64_t> gen(n, 0);
-
+  // Next-event calendar. Pop order within a timestamp is by id, but
+  // admissions only touch per-task state, so order is irrelevant to the
+  // result — this is what makes the heap bit-identical to the reference
+  // fixpoint scan.
+  std::vector<Ev>& events = scratch.events;
+  std::vector<Cand>& cands = scratch.cands;
+  std::vector<std::uint64_t>& gen = scratch.gen;
   // O(1) runnable set (ids + positions): contended check and wait-span
   // enumeration.
-  std::vector<std::size_t> runnable;
-  std::vector<std::size_t> pos(n, kNoPos);
+  std::vector<std::size_t>& runnable = scratch.runnable;
+  std::vector<std::size_t>& pos = scratch.pos;
+  events.clear();
+  cands.clear();
+  runnable.clear();
+  gen.assign(n, 0);
+  pos.assign(n, kNoPos);
   std::size_t done = 0;
 
   auto add_runnable = [&](std::size_t id) {
     pos[id] = runnable.size();
     runnable.push_back(id);
-    cands.push({states[id].cpu, states[id].ready, id, gen[id]});
+    heap_push(cands, {states[id].cpu, states[id].ready, id, gen[id]},
+              CandLater{});
   };
   auto remove_runnable = [&](std::size_t id) {
     const std::size_t p = pos[id];
@@ -134,13 +142,17 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
     TaskState& t = states[id];
     switch (t.state) {
       case State::kRunnable: add_runnable(id); break;
-      case State::kBlocked: events.push({t.unblock, id}); break;
+      case State::kBlocked:
+        heap_push(events, {t.unblock, id}, EvLater{});
+        break;
       case State::kDone: ++done; break;
       case State::kNotReady: break;
     }
   };
 
-  for (std::size_t i = 0; i < n; ++i) events.push({states[i].ready, i});
+  for (std::size_t i = 0; i < n; ++i) {
+    heap_push(events, {states[i].ready, i}, EvLater{});
+  }
 
   TimeMs now = 0.0;
   std::size_t last_holder = n;  // sentinel: no previous holder
@@ -149,9 +161,9 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
     // Admit arrivals and expired blocks up to `now`; chains of expired
     // blocks re-enter the loop via the pushed unblock entries, matching
     // the reference fixpoint.
-    while (!events.empty() && events.top().at <= now + kEps) {
-      const std::size_t id = events.top().id;
-      events.pop();
+    while (!events.empty() && events.front().at <= now + kEps) {
+      const std::size_t id = events.front().id;
+      heap_pop(events, EvLater{});
       TaskState& t = states[id];
       if (t.state == State::kNotReady) {
         enter_segment(t, t.ready, record_spans_);
@@ -165,15 +177,15 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
 
     if (runnable.empty()) {
       if (events.empty()) break;  // defensive: nothing left to run
-      now = std::max(now, events.top().at);
+      now = std::max(now, events.front().at);
       continue;
     }
 
     // CFS pick: least accumulated CPU time; ties by earliest ready, then id.
-    while (!cands.empty() && cands.top().gen != gen[cands.top().id]) {
-      cands.pop();
+    while (!cands.empty() && cands.front().gen != gen[cands.front().id]) {
+      heap_pop(cands, CandLater{});
     }
-    const std::size_t holder = cands.top().id;
+    const std::size_t holder = cands.front().id;
 
     // Handoff cost when the interpreter switches threads.
     if (switch_cost_ > 0.0 && holder != last_holder && last_holder != n) {
@@ -207,15 +219,16 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
       enter_segment(h, now, record_spans_);
       settle(holder);
     } else {
-      cands.push({h.cpu, h.ready, holder, gen[holder]});
+      heap_push(cands, {h.cpu, h.ready, holder, gen[holder]}, CandLater{});
     }
   }
   return collect(states);
 }
 
 InterleaveResult GilSimulator::run_slow_reference(
-    const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+    std::span<const ThreadTask> tasks) const {
+  std::vector<TaskState> pool;
+  const std::span<TaskState> states = init_states(pool, tasks);
   TimeMs now = 0.0;
   std::size_t last_holder = states.size();  // sentinel: no previous holder
 

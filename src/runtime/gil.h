@@ -21,6 +21,7 @@
 // complexity & scenario sweeps").
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -72,13 +73,15 @@ class GilSimulator {
 
   /// Simulates all tasks to completion. Deterministic. O(E log N) in the
   /// number of scheduling events E (segment entries, preemptions,
-  /// arrivals) via a next-event calendar and a CFS pick heap.
-  InterleaveResult run(const std::vector<ThreadTask>& tasks) const;
+  /// arrivals) via a next-event calendar and a CFS pick heap. Its working
+  /// state lives in per-thread scratch reused across calls, so a warm
+  /// call allocates only the result (one task vector plus one exact-size
+  /// span vector per task that recorded spans). Thread-safe.
+  InterleaveResult run(std::span<const ThreadTask> tasks) const;
 
   /// The original O(E*N) scan-per-step loop, kept as the semantic
   /// reference for parity tests. Bit-identical to run().
-  InterleaveResult run_slow_reference(
-      const std::vector<ThreadTask>& tasks) const;
+  InterleaveResult run_slow_reference(std::span<const ThreadTask> tasks) const;
 
  private:
   TimeMs switch_interval_;

@@ -8,8 +8,10 @@
 // runtime/*.cc.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/gil.h"
@@ -68,30 +70,67 @@ inline bool enter_segment(TaskState& t, TimeMs now, bool record) {
   return false;
 }
 
-inline InterleaveResult collect(std::vector<TaskState>& states) {
+// Copies each task's outcome out; span lists become exact-size vectors,
+// so the per-task span buffers stay behind for the next run.
+inline InterleaveResult collect(std::span<const TaskState> states) {
   InterleaveResult result;
-  result.tasks.reserve(states.size());
-  for (TaskState& t : states) {
-    TaskResult r;
+  result.tasks.resize(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const TaskState& t = states[i];
+    TaskResult& r = result.tasks[i];
     r.ready_ms = t.ready;
     r.start_ms = t.start < 0.0 ? t.finish : t.start;
     r.finish_ms = t.finish;
     r.cpu_ms = t.cpu;
-    r.spans = std::move(t.spans);
+    r.spans.assign(t.spans.begin(), t.spans.end());
     result.makespan = std::max(result.makespan, r.finish_ms);
-    result.tasks.push_back(std::move(r));
   }
   return result;
 }
 
-inline std::vector<TaskState> init_states(
-    const std::vector<ThreadTask>& tasks) {
-  std::vector<TaskState> states(tasks.size());
+// Resets the first tasks.size() entries of `pool` (growing it if needed)
+// to the initial state of `tasks` and returns them. Entries keep their
+// span buffers' capacity, so a pool reused across runs records spans
+// without allocating once warm.
+inline std::span<TaskState> init_states(std::vector<TaskState>& pool,
+                                        std::span<const ThreadTask> tasks) {
+  if (pool.size() < tasks.size()) pool.resize(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    states[i].behavior = &tasks[i].behavior;
-    states[i].ready = tasks[i].ready_ms;
+    std::vector<TimelineSpan> spans = std::move(pool[i].spans);
+    spans.clear();
+    pool[i] = TaskState{.behavior = &tasks[i].behavior,
+                        .ready = tasks[i].ready_ms,
+                        .spans = std::move(spans)};
   }
-  return states;
+  return {pool.data(), tasks.size()};
+}
+
+// Next-event calendar entry: the wake time (arrival or unblock) of one
+// task that is not runnable. Each such task has exactly one pending entry,
+// popped when that transition is admitted, so entries are never stale.
+struct Ev {
+  TimeMs at;
+  std::size_t id;
+};
+struct EvLater {
+  bool operator()(const Ev& a, const Ev& b) const {
+    if (a.at != b.at) return a.at > b.at;
+    return a.id > b.id;
+  }
+};
+
+// Binary-heap push / pop on a reused vector: the exact operations
+// std::priority_queue performs, minus owning the container.
+template <typename T, typename Later>
+void heap_push(std::vector<T>& heap, const T& value, Later later) {
+  heap.push_back(value);
+  std::push_heap(heap.begin(), heap.end(), later);
+}
+
+template <typename T, typename Later>
+void heap_pop(std::vector<T>& heap, Later later) {
+  std::pop_heap(heap.begin(), heap.end(), later);
+  heap.pop_back();
 }
 
 }  // namespace interleave_detail

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -61,10 +60,14 @@ double node_throughput_rps(const RuntimeParams& params,
 
 namespace {
 
+using interleave_detail::Ev;
+using interleave_detail::EvLater;
 using interleave_detail::State;
 using interleave_detail::TaskState;
 using interleave_detail::collect;
 using interleave_detail::enter_segment;
+using interleave_detail::heap_pop;
+using interleave_detail::heap_push;
 using interleave_detail::init_states;
 using interleave_detail::kEps;
 using interleave_detail::push_span;
@@ -76,7 +79,7 @@ constexpr TimeMs kDoneEps = 10 * kEps;
 
 // Earliest pending arrival or unblock, or +inf (slow reference only; the
 // fast kernel peeks its event calendar instead — same value).
-TimeMs next_event(const std::vector<TaskState>& states) {
+TimeMs next_event(std::span<const TaskState> states) {
   TimeMs next = std::numeric_limits<TimeMs>::infinity();
   for (const TaskState& t : states) {
     if (t.state == State::kNotReady) next = std::min(next, t.ready);
@@ -85,11 +88,34 @@ TimeMs next_event(const std::vector<TaskState>& states) {
   return next;
 }
 
-bool all_done(const std::vector<TaskState>& states) {
+bool all_done(std::span<const TaskState> states) {
   return std::all_of(states.begin(), states.end(), [](const TaskState& t) {
     return t.state == State::kDone;
   });
 }
+
+// Completion calendar entry in work coordinates: one live entry per
+// runnable task keyed (w_fin, id). A task leaves the runnable set only by
+// being popped, so entries are never stale either.
+struct Fin {
+  TimeMs w_fin;
+  std::size_t id;
+};
+struct FinLater {
+  bool operator()(const Fin& a, const Fin& b) const {
+    if (a.w_fin != b.w_fin) return a.w_fin > b.w_fin;
+    return a.id > b.id;
+  }
+};
+
+// Working memory of the fast kernel, kept per thread and reused across
+// runs: once warm, a run allocates only its result.
+struct CpuShareScratch {
+  std::vector<TaskState> states;
+  std::vector<Ev> events;
+  std::vector<Fin> fins;
+  std::vector<TimeMs> run_begin;
+};
 
 }  // namespace
 
@@ -107,40 +133,16 @@ CpuShareSimulator::CpuShareSimulator(std::size_t cpus, bool record_spans)
 // linear scans) — the values are identical, so results are bit-identical.
 
 InterleaveResult CpuShareSimulator::run(
-    const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+    std::span<const ThreadTask> tasks) const {
+  thread_local CpuShareScratch scratch;
+  const std::span<TaskState> states = init_states(scratch.states, tasks);
   const std::size_t n = states.size();
-
-  // Next-event calendar: one pending entry per kNotReady (arrival) or
-  // kBlocked (unblock) task; popped exactly when admitted, never stale.
-  struct Ev {
-    TimeMs at;
-    std::size_t id;
-  };
-  struct EvLater {
-    bool operator()(const Ev& a, const Ev& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
-
-  // Completion calendar in work coordinates: one live entry per runnable
-  // task keyed (w_fin, id). A task leaves the runnable set only by being
-  // popped here, so entries are never stale either.
-  struct Fin {
-    TimeMs w_fin;
-    std::size_t id;
-  };
-  struct FinLater {
-    bool operator()(const Fin& a, const Fin& b) const {
-      if (a.w_fin != b.w_fin) return a.w_fin > b.w_fin;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Fin, std::vector<Fin>, FinLater> fins;
-
-  std::vector<TimeMs> run_begin(n, 0.0);
+  std::vector<Ev>& events = scratch.events;
+  std::vector<Fin>& fins = scratch.fins;
+  std::vector<TimeMs>& run_begin = scratch.run_begin;
+  events.clear();
+  fins.clear();
+  run_begin.assign(n, 0.0);
   std::size_t runnable = 0;
   std::size_t done = 0;
   TimeMs now = 0.0;
@@ -155,21 +157,25 @@ InterleaveResult CpuShareSimulator::run(
         if (t.start < 0.0) t.start = at;
         run_begin[id] = at;
         ++runnable;
-        fins.push({work + t.seg_remaining, id});
+        heap_push(fins, {work + t.seg_remaining, id}, FinLater{});
         break;
-      case State::kBlocked: events.push({t.unblock, id}); break;
+      case State::kBlocked:
+        heap_push(events, {t.unblock, id}, EvLater{});
+        break;
       case State::kDone: ++done; break;
       case State::kNotReady: break;
     }
   };
 
-  for (std::size_t i = 0; i < n; ++i) events.push({states[i].ready, i});
+  for (std::size_t i = 0; i < n; ++i) {
+    heap_push(events, {states[i].ready, i}, EvLater{});
+  }
 
   while (done < n) {
     // Admit arrivals and expired blocks up to `now`.
-    while (!events.empty() && events.top().at <= now + kEps) {
-      const std::size_t id = events.top().id;
-      events.pop();
+    while (!events.empty() && events.front().at <= now + kEps) {
+      const std::size_t id = events.front().id;
+      heap_pop(events, EvLater{});
       TaskState& t = states[id];
       TimeMs at;
       if (t.state == State::kNotReady) {
@@ -184,7 +190,7 @@ InterleaveResult CpuShareSimulator::run(
 
     if (runnable == 0) {
       if (events.empty()) break;  // defensive: nothing left to run
-      now = std::max(now, events.top().at);
+      now = std::max(now, events.front().at);
       continue;
     }
 
@@ -194,9 +200,9 @@ InterleaveResult CpuShareSimulator::run(
 
     // Advance to the earliest of: a runnable segment completing at this
     // rate, an arrival, or an unblock.
-    TimeMs dt = (fins.top().w_fin - work) / rate;
-    if (!events.empty() && events.top().at > now) {
-      dt = std::min(dt, events.top().at - now);
+    TimeMs dt = (fins.front().w_fin - work) / rate;
+    if (!events.empty() && events.front().at > now) {
+      dt = std::min(dt, events.front().at - now);
     }
     dt = std::max(dt, kEps);
     now += dt;
@@ -204,9 +210,9 @@ InterleaveResult CpuShareSimulator::run(
 
     // Complete every segment the work coordinate has reached; chains of
     // tiny follow-on segments re-enter via the pushed entries.
-    while (!fins.empty() && fins.top().w_fin <= work + kDoneEps) {
-      const std::size_t id = fins.top().id;
-      fins.pop();
+    while (!fins.empty() && fins.front().w_fin <= work + kDoneEps) {
+      const std::size_t id = fins.front().id;
+      heap_pop(fins, FinLater{});
       --runnable;
       TaskState& t = states[id];
       t.cpu += t.seg_remaining;
@@ -220,8 +226,9 @@ InterleaveResult CpuShareSimulator::run(
 }
 
 InterleaveResult CpuShareSimulator::run_slow_reference(
-    const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+    std::span<const ThreadTask> tasks) const {
+  std::vector<TaskState> pool;
+  const std::span<TaskState> states = init_states(pool, tasks);
   const std::size_t n = states.size();
   std::vector<TimeMs> w_fin(n, 0.0);
   std::vector<TimeMs> run_begin(n, 0.0);

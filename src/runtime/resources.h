@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "common/types.h"
 #include "runtime/gil.h"
@@ -60,13 +61,14 @@ class CpuShareSimulator {
  public:
   explicit CpuShareSimulator(std::size_t cpus, bool record_spans = false);
 
-  /// Simulates all tasks to completion. Deterministic, O(E log N).
-  InterleaveResult run(const std::vector<ThreadTask>& tasks) const;
+  /// Simulates all tasks to completion. Deterministic, O(E log N). Like
+  /// GilSimulator::run, it works in per-thread scratch reused across
+  /// calls and allocates only the result. Thread-safe.
+  InterleaveResult run(std::span<const ThreadTask> tasks) const;
 
   /// Linear-scan reference with identical breakpoint arithmetic, kept for
   /// parity tests. Bit-identical to run().
-  InterleaveResult run_slow_reference(
-      const std::vector<ThreadTask>& tasks) const;
+  InterleaveResult run_slow_reference(std::span<const ThreadTask> tasks) const;
 
  private:
   std::size_t cpus_;

@@ -4,7 +4,22 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/rng.h"
+
 namespace chiron {
+namespace {
+
+// True when `segments` is what the constructor would produce from itself:
+// no empty segments and no adjacent segments of the same kind.
+[[maybe_unused]] bool canonical(const std::vector<Segment>& segments) {
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    if (segments[i].duration <= 0.0) return false;
+    if (i > 0 && segments[i].kind == segments[i - 1].kind) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 FunctionBehavior::FunctionBehavior(std::vector<Segment> segments) {
   segments_.reserve(segments.size());
@@ -97,6 +112,15 @@ FunctionBehavior FunctionBehavior::with_cpu_overhead(double overhead) const {
     if (s.kind == Segment::Kind::kCpu) s.duration *= (1.0 + overhead);
   }
   return FunctionBehavior(std::move(segs));
+}
+
+void FunctionBehavior::assign_jittered(const FunctionBehavior& base,
+                                       double sigma, Rng& rng) {
+  segments_.assign(base.segments_.begin(), base.segments_.end());
+  if (sigma > 0.0) {
+    for (Segment& s : segments_) s.duration *= rng.jitter(sigma);
+  }
+  assert(canonical(segments_));
 }
 
 FunctionBehavior cpu_bound(TimeMs cpu_ms) {

@@ -12,6 +12,8 @@
 
 namespace chiron {
 
+class Rng;
+
 /// One homogeneous execution period.
 struct Segment {
   enum class Kind : std::uint8_t { kCpu, kBlock };
@@ -71,6 +73,15 @@ class FunctionBehavior {
   /// Returns a copy with every CPU duration multiplied by (1 + overhead);
   /// models MPK/SFI instruction-count execution overhead (Table 1).
   FunctionBehavior with_cpu_overhead(double overhead) const;
+
+  /// Becomes `base` with every duration multiplied by its own
+  /// `rng.jitter(sigma)`, drawn in segment order (sigma <= 0: a plain copy,
+  /// no draws). Reuses this object's segment capacity, so a scratch
+  /// behaviour re-jittered per request stops allocating once warm. The
+  /// result needs no re-canonicalisation: `base` is canonical (no empty or
+  /// adjacent same-kind segments) and every factor is > 0, so jittering
+  /// neither empties nor merges a segment — checked in debug builds.
+  void assign_jittered(const FunctionBehavior& base, double sigma, Rng& rng);
 
   bool empty() const { return segments_.empty(); }
 

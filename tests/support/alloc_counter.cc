@@ -35,6 +35,10 @@ std::uint64_t disarm_alloc_counter() {
   return g_count.load(std::memory_order_relaxed);
 }
 
+std::uint64_t alloc_count() {
+  return g_count.load(std::memory_order_relaxed);
+}
+
 bool alloc_counting_supported() { return kCountingSupported; }
 
 namespace {

@@ -19,6 +19,11 @@ void arm_alloc_counter();
 /// since the matching arm_alloc_counter().
 std::uint64_t disarm_alloc_counter();
 
+/// Operator-new calls counted so far in the current armed window, without
+/// disarming — lets a decorator attribute the allocations made inside one
+/// call (read before and after it).
+std::uint64_t alloc_count();
+
 /// False when the binary is built under a sanitizer whose interceptors
 /// make allocation counts meaningless; tests should GTEST_SKIP then.
 bool alloc_counting_supported();
