@@ -4,8 +4,9 @@
 # --serve-obs + curl). With --tsan, additionally build a ThreadSanitizer
 # preset (-DCHIRON_SANITIZE=thread, separate build dir) and repeat the
 # concurrency-sensitive subset — the live-thread engine, the local runner,
-# the emulated GIL, the tracer/metrics/recorder/obs-server layer, and one
-# WrapPlanBackend shared by several threads (per-thread kernel scratch).
+# the emulated GIL, the tracer/metrics/recorder/obs-server layer, one
+# WrapPlanBackend shared by several threads (per-thread kernel scratch), and
+# the PGP deploy pool over the Predictor's per-thread task scratch.
 #
 #   scripts/check.sh            # plain tier-1
 #   scripts/check.sh --tsan     # tier-1 + sanitized concurrency subset
@@ -168,7 +169,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}"
   echo "== tsan: concurrency-sensitive subset =="
   ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
-    -R 'Engine|LocalRunner|EmulatedGil|Gil|Tracer|Counter|Gauge|Histogram|MetricsRegistry|Instrumentation|ThreadPool|PredictionCache|PgpParity|Fault|Obs|Sweep|Cluster|Router|PlanBackend'
+    -R 'Engine|LocalRunner|EmulatedGil|Gil|Tracer|Counter|Gauge|Histogram|MetricsRegistry|Instrumentation|ThreadPool|PredictionCache|PgpParity|PgpGolden|Fault|Obs|Sweep|Cluster|Router|PlanBackend'
 fi
 
 echo "== check.sh: all green =="

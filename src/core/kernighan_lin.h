@@ -22,9 +22,9 @@ namespace chiron {
 /// Contract: eval(a, b) must depend only on (a, b) and state that is
 /// constant for the duration of one kernighan_lin() call. PGP exploits
 /// this with an incremental evaluator (pgp.cc StageEvaluator) that keeps
-/// the untouched groups' wrap latencies frozen across the pass and
-/// re-simulates only the wraps holding the two candidate sets — the
-/// values are identical to a full stage re-layout, only cheaper.
+/// every untouched group's process latency frozen across the pass and
+/// simulates only the two candidate sets per call — the values are
+/// identical to a full stage re-layout, only cheaper.
 using PairLatencyEval =
     std::function<TimeMs(const std::vector<FunctionId>& a,
                          const std::vector<FunctionId>& b)>;

@@ -65,14 +65,17 @@ std::vector<FunctionId> compute_conflicted(const Workflow& wf, StageId s) {
 }
 
 // Incremental KL stage evaluation. Stage latency (Eq. 2) is a max over
-// wraps, and the search-phase wrap layout is a fixed function of the group
-// count — so a KL swap touching groups p and q only invalidates the (at
-// most two) wraps containing them. The evaluator freezes the layout
-// skeleton once, keeps the untouched wraps' latencies, and re-simulates
-// only the touched wraps per pair evaluation; combined with the
-// Predictor's group memoization, each eval costs two group simulations
-// instead of a full stage re-layout. Values are exactly those of
-// Predictor::stage_latency over layout_stage's output (parity tested).
+// wraps, a wrap's latency (Eq. 3) is a max over its processes' latencies
+// (Eq. 4) plus IPC, and the search-phase wrap layout is a fixed function
+// of the group count — so every group keeps one fork index for the whole
+// pass. The evaluator freezes that layout once and keeps one Eq. (4)
+// latency per committed group; a pair evaluation simulates only the two
+// candidate sets, uncached (they are mostly one-off configurations), and
+// combines them with the frozen values of the other groups. Values are
+// exactly those of Predictor::stage_latency over layout_stage's output
+// (golden and parity tested). Where a wrap's processes share one
+// simulation (Predictor::simulates_whole_wrap) there is no per-process
+// latency to freeze, and the touched wraps are re-simulated whole.
 class StageEvaluator {
  public:
   StageEvaluator(const Predictor& predictor, IsolationMode mode,
@@ -80,27 +83,40 @@ class StageEvaluator {
                  const std::vector<std::vector<FunctionId>>& sets,
                  std::size_t wrap_count,
                  const std::vector<FunctionId>& conflicted)
-      : predictor_(predictor), mode_(mode), params_(params), sets_(sets) {
+      : predictor_(predictor),
+        mode_(mode),
+        params_(params),
+        sets_(sets),
+        whole_wrap_(predictor.simulates_whole_wrap(mode)) {
     const std::size_t k = sets.size();
     const std::size_t w = std::max<std::size_t>(1, std::min(wrap_count, k));
-    // Balanced contiguous chunks, mirroring layout_stage.
+    // Balanced contiguous chunks, mirroring layout_stage. Only group 0
+    // rides the resident orchestrator (it always lands at wrap 0, slot 0);
+    // the rest fork, numbered in wrap order as Predictor::wrap_latency does.
     wrap_of_.resize(k);
+    fork_of_.resize(k);
     members_.resize(w);
     const std::size_t base = k / w;
     const std::size_t extra = k % w;
     std::size_t next = 0;
     for (std::size_t i = 0; i < w; ++i) {
       const std::size_t take = base + (i < extra ? 1 : 0);
+      std::size_t forks = 0;
       for (std::size_t j = 0; j < take; ++j) {
         wrap_of_[next] = i;
+        fork_of_[next] = next == 0 ? 0 : forks++;
         members_[i].push_back(next);
         ++next;
       }
     }
-    base_latency_.resize(w);
-    for (std::size_t i = 0; i < w; ++i) {
-      base_latency_[i] = wrap_latency(i, kNone, nullptr, kNone, nullptr);
+    group_latency_.resize(k);
+    if (!whole_wrap_) {
+      for (std::size_t g = 0; g < k; ++g) {
+        group_latency_[g] = simulate(g, sets_[g]);
+      }
     }
+    base_latency_.resize(w);
+    for (std::size_t i = 0; i < w; ++i) base_latency_[i] = committed_wrap(i);
     // The stage's conflicted functions sit in fixed singleton wraps after
     // the chunked ones; KL never touches them, so compute once.
     conflicted_latency_.reserve(conflicted.size());
@@ -119,11 +135,15 @@ class StageEvaluator {
   TimeMs eval_pair(std::size_t p, std::size_t q,
                    const std::vector<FunctionId>& a,
                    const std::vector<FunctionId>& b) const {
+    const TimeMs lat_a = whole_wrap_ ? 0.0 : simulate(p, a);
+    const TimeMs lat_b = whole_wrap_ ? 0.0 : simulate(q, b);
     TimeMs stage = 0.0;
     for (std::size_t i = 0; i < members_.size(); ++i) {
-      const TimeMs lat = (i == wrap_of_[p] || i == wrap_of_[q])
-                             ? wrap_latency(i, p, &a, q, &b)
-                             : base_latency_[i];
+      TimeMs lat = base_latency_[i];
+      if (i == wrap_of_[p] || i == wrap_of_[q]) {
+        lat = whole_wrap_ ? whole_wrap_latency(i, p, &a, q, &b)
+                          : wrap_latency(i, p, lat_a, q, lat_b);
+      }
       stage = std::max(stage, offset(i) + lat);
     }
     for (std::size_t c = 0; c < conflicted_latency_.size(); ++c) {
@@ -133,14 +153,16 @@ class StageEvaluator {
     return stage;
   }
 
-  /// Re-bases the wraps holding p and q after the caller committed new
-  /// contents for those groups.
+  /// Re-bases groups p and q, and the wraps holding them, after the caller
+  /// committed new contents for those groups.
   void refresh(std::size_t p, std::size_t q) {
-    base_latency_[wrap_of_[p]] =
-        wrap_latency(wrap_of_[p], kNone, nullptr, kNone, nullptr);
+    if (!whole_wrap_) {
+      group_latency_[p] = simulate(p, sets_[p]);
+      group_latency_[q] = simulate(q, sets_[q]);
+    }
+    base_latency_[wrap_of_[p]] = committed_wrap(wrap_of_[p]);
     if (wrap_of_[q] != wrap_of_[p]) {
-      base_latency_[wrap_of_[q]] =
-          wrap_latency(wrap_of_[q], kNone, nullptr, kNone, nullptr);
+      base_latency_[wrap_of_[q]] = committed_wrap(wrap_of_[q]);
     }
   }
 
@@ -155,17 +177,42 @@ class StageEvaluator {
            params_.rpc_ms;
   }
 
-  // Latency of chunk wrap `i`, with groups p/q optionally overridden.
-  TimeMs wrap_latency(std::size_t i, std::size_t p,
-                      const std::vector<FunctionId>* a, std::size_t q,
-                      const std::vector<FunctionId>* b) const {
+  // Eq. (4) latency of group `g` holding `functions`.
+  TimeMs simulate(std::size_t g,
+                  const std::vector<FunctionId>& functions) const {
+    return predictor_.process_latency_uncached(
+        functions, g == 0 ? ExecMode::kThread : ExecMode::kProcess,
+        fork_of_[g], mode_);
+  }
+
+  TimeMs committed_wrap(std::size_t i) const {
+    return whole_wrap_ ? whole_wrap_latency(i, kNone, nullptr, kNone, nullptr)
+                       : wrap_latency(i, kNone, 0.0, kNone, 0.0);
+  }
+
+  // Eq. (3) of chunk wrap `i` from the frozen group latencies, with groups
+  // p/q optionally overridden.
+  TimeMs wrap_latency(std::size_t i, std::size_t p, TimeMs lat_p,
+                      std::size_t q, TimeMs lat_q) const {
+    TimeMs slowest = 0.0;
+    for (std::size_t g : members_[i]) {
+      slowest = std::max(slowest, g == p   ? lat_p
+                                  : g == q ? lat_q
+                                           : group_latency_[g]);
+    }
+    return predictor_.wrap_latency_from(slowest, members_[i].size());
+  }
+
+  // Latency of chunk wrap `i` as one simulation, with groups p/q
+  // optionally overridden.
+  TimeMs whole_wrap_latency(std::size_t i, std::size_t p,
+                            const std::vector<FunctionId>* a, std::size_t q,
+                            const std::vector<FunctionId>* b) const {
     Wrap wrap;
     wrap.processes.reserve(members_[i].size());
     for (std::size_t g : members_[i]) {
       ProcessGroup pg;
       pg.functions = g == p ? *a : g == q ? *b : sets_[g];
-      // Only group 0 rides the resident orchestrator (it always lands at
-      // wrap 0, slot 0 of the contiguous layout); the rest fork.
       pg.mode = g == 0 ? ExecMode::kThread : ExecMode::kProcess;
       wrap.processes.push_back(std::move(pg));
     }
@@ -176,8 +223,11 @@ class StageEvaluator {
   const IsolationMode mode_;
   const RuntimeParams& params_;
   const std::vector<std::vector<FunctionId>>& sets_;
+  const bool whole_wrap_;
   std::vector<std::size_t> wrap_of_;               // group -> chunk wrap
+  std::vector<std::size_t> fork_of_;               // group -> fork index
   std::vector<std::vector<std::size_t>> members_;  // chunk wrap -> groups
+  std::vector<TimeMs> group_latency_;              // committed Eq. (4)
   std::vector<TimeMs> base_latency_;               // committed wrap latency
   std::vector<TimeMs> conflicted_latency_;         // fixed singleton wraps
 };
@@ -244,8 +294,8 @@ std::vector<ProcessGroup> PgpScheduler::partition_stage(
                             {{"stage", static_cast<double>(s)},
                              {"processes", static_cast<double>(k)}});
     // KL over every pair of process sets (Algorithm 2 lines 10-11). The
-    // evaluator re-simulates only the wraps holding the swapped pair and
-    // reuses every untouched group's latency (see StageEvaluator).
+    // evaluator simulates only the two candidate sets and reuses every
+    // untouched group's latency (see StageEvaluator).
     StageEvaluator evaluator(predictor_, config_.mode, config_.params, sets,
                              search_wrap_count(k), conflicted);
     for (std::size_t p = 0; p + 1 < sets.size(); ++p) {

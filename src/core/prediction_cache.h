@@ -1,13 +1,16 @@
 // PredictionCache — memoization of ProcessGroup simulations.
 //
-// KL refinement and wrap packing make the Predictor re-simulate the same
-// process group thousands of times: every KL pair evaluation re-predicts a
-// stage in which all but two groups are unchanged, the swap/undo discipline
-// revisits identical configurations across rounds, and the packing phase
-// re-lays-out stages whose groups never change. The cache memoizes the
-// (deterministic) result of Predictor::group_exec keyed by everything the
-// simulation depends on, so repeats hit a hash map instead of re-running
-// the GIL event loop.
+// Workflow-level predictions re-simulate the same process groups many
+// times: every outer PGP iteration predicts its candidate plan, wrap
+// packing re-lays-out stages whose groups never change, and CPU
+// minimisation re-predicts one plan under each probed cap. The cache
+// memoizes the (deterministic) result of Predictor::group_exec keyed by
+// everything the simulation depends on, so repeats hit a hash map instead
+// of re-running the GIL event loop. KL pair evaluations do not use it:
+// they simulate their two candidate sets through
+// Predictor::process_latency_uncached, because most candidates are seen
+// once and caching them costs more than it saves (see pgp.cc
+// StageEvaluator).
 //
 // Key canonicalization: a group's function *sequence* is the canonical key,
 // not the sorted set — thread spawn order staggers ready times (Algorithm 1

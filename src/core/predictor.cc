@@ -19,6 +19,16 @@ double cpu_fraction(const FunctionBehavior& b) {
   return b.total_cpu() / total;
 }
 
+// The first `n` slots of this thread's task scratch, valid until the next
+// call on this thread. Slots are never destroyed, so each keeps its
+// segment capacity and a warm build of the same or a smaller task set
+// allocates nothing.
+std::span<ThreadTask> task_scratch(std::size_t n) {
+  thread_local std::vector<ThreadTask> slots;
+  if (slots.size() < n) slots.resize(n);
+  return {slots.data(), n};
+}
+
 }  // namespace
 
 FunctionBehavior effective_behavior(const InterleaveResult& result) {
@@ -64,28 +74,6 @@ Predictor::Predictor(PredictorConfig config,
   }
 }
 
-FunctionBehavior Predictor::behavior_for(FunctionId f, IsolationMode mode,
-                                         bool thread_context,
-                                         std::size_t co_resident) const {
-  const FunctionBehavior& base = profiles_.at(f);
-  if (!thread_context) return base;
-  FunctionBehavior b = base;
-  if (mode == IsolationMode::kMpk) {
-    b = b.with_cpu_overhead(
-        config_.params.mpk.exec_overhead(cpu_fraction(base)));
-  } else if (mode == IsolationMode::kSfi) {
-    b = b.with_cpu_overhead(
-        config_.params.sfi.exec_overhead(cpu_fraction(base)));
-  }
-  // GIL convoy / cache contention among co-resident threads (white-box
-  // model input; the ground truth adds a further unmodeled residual).
-  if (config_.runtime != Runtime::kJava && co_resident > 1) {
-    b = b.with_cpu_overhead(config_.params.thread_contention(co_resident) -
-                            1.0);
-  }
-  return b;
-}
-
 TimeMs Predictor::spawn_gap(IsolationMode mode) const {
   const RuntimeParams& p = config_.params;
   if (config_.runtime == Runtime::kJava) return p.java_thread_startup_ms;
@@ -103,12 +91,54 @@ TimeMs Predictor::spawn_gap(IsolationMode mode) const {
   return p.thread_startup_ms;
 }
 
-InterleaveResult Predictor::run_exec(const std::vector<ThreadTask>& tasks,
+bool Predictor::simulates_whole_wrap(IsolationMode mode) const {
+  return config_.runtime == Runtime::kJava || mode == IsolationMode::kPool;
+}
+
+void Predictor::fill_tasks(std::span<ThreadTask> slots, std::size_t first,
+                           std::span<const FunctionId> functions,
+                           IsolationMode mode, bool thread_context) const {
+  const TimeMs gap = spawn_gap(mode);
+  // GIL convoy / cache contention among co-resident threads (white-box
+  // model input; the ground truth adds a further unmodeled residual).
+  // Each CPU factor is `1.0 + overhead`, rounded as with_cpu_overhead
+  // rounds it; the contention factor c >= 1 qualifies as it is, because
+  // `c - 1.0` and then `1.0 + (c - 1.0)` are exact.
+  const std::size_t co_resident = functions.size();
+  const double contention =
+      thread_context && config_.runtime != Runtime::kJava && co_resident > 1
+          ? config_.params.thread_contention(co_resident)
+          : 1.0;
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    const FunctionBehavior& base = profiles_.at(functions[i]);
+    double isolation = 1.0;
+    if (thread_context && mode == IsolationMode::kMpk) {
+      isolation = 1.0 + config_.params.mpk.exec_overhead(cpu_fraction(base));
+    } else if (thread_context && mode == IsolationMode::kSfi) {
+      isolation = 1.0 + config_.params.sfi.exec_overhead(cpu_fraction(base));
+    }
+    ThreadTask& task = slots[first + i];
+    task.behavior.assign_cpu_scaled(base, isolation, contention);
+    task.ready_ms = static_cast<TimeMs>(first + i) * gap;
+  }
+}
+
+InterleaveResult Predictor::simulate_group(
+    std::span<const FunctionId> functions, ExecMode exec_mode,
+    IsolationMode mode, bool record_spans) const {
+  // Functions sharing a process run as threads (isolation overhead
+  // applies); a lone forked function is a plain process.
+  const bool thread_context =
+      exec_mode == ExecMode::kThread || functions.size() > 1;
+  const std::span<ThreadTask> tasks = task_scratch(functions.size());
+  fill_tasks(tasks, 0, functions, mode, thread_context);
+  return run_exec(tasks, mode, 0, record_spans);
+}
+
+InterleaveResult Predictor::run_exec(std::span<const ThreadTask> tasks,
                                      IsolationMode mode, std::size_t cpus,
                                      bool record_spans) const {
-  const bool true_parallel =
-      config_.runtime == Runtime::kJava || mode == IsolationMode::kPool;
-  if (true_parallel) {
+  if (simulates_whole_wrap(mode)) {
     CpuShareSimulator sim(cpus == 0 ? kUncapped : cpus, record_spans);
     return sim.run(tasks);
   }
@@ -119,7 +149,12 @@ InterleaveResult Predictor::run_exec(const std::vector<ThreadTask>& tasks,
 TimeMs Predictor::thread_exec(const std::vector<FunctionBehavior>& behaviors,
                               IsolationMode mode) const {
   if (behaviors.empty()) return 0.0;
-  const auto tasks = staggered_tasks(behaviors, spawn_gap(mode));
+  const std::span<ThreadTask> tasks = task_scratch(behaviors.size());
+  const TimeMs gap = spawn_gap(mode);
+  for (std::size_t i = 0; i < behaviors.size(); ++i) {
+    tasks[i].behavior = behaviors[i];
+    tasks[i].ready_ms = static_cast<TimeMs>(i) * gap;
+  }
   return run_exec(tasks, mode, 0, false).makespan;
 }
 
@@ -129,16 +164,8 @@ std::shared_ptr<const InterleaveResult> Predictor::group_exec(
   if (config_.enable_cache) {
     if (auto hit = cache_.lookup(key)) return hit;
   }
-  // Functions sharing a process run as threads (isolation overhead
-  // applies); a lone forked function is a plain process.
-  const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
-  std::vector<FunctionBehavior> behaviors;
-  behaviors.reserve(g.size());
-  for (FunctionId f : g.functions) {
-    behaviors.push_back(behavior_for(f, mode, thread_context, g.size()));
-  }
-  const auto tasks = staggered_tasks(behaviors, spawn_gap(mode));
-  InterleaveResult result = run_exec(tasks, mode, 0, record_spans);
+  InterleaveResult result =
+      simulate_group(g.functions, g.mode, mode, record_spans);
   if (config_.enable_cache) return cache_.insert(key, std::move(result));
   return std::make_shared<const InterleaveResult>(std::move(result));
 }
@@ -161,54 +188,71 @@ void Predictor::publish_cache_metrics() const {
 TimeMs Predictor::process_latency(const ProcessGroup& g,
                                   std::size_t fork_index,
                                   IsolationMode mode) const {
+  return process_latency_from(group_exec(g, mode, false)->makespan, g.size(),
+                              g.mode, fork_index, mode);
+}
+
+TimeMs Predictor::process_latency_uncached(
+    std::span<const FunctionId> functions, ExecMode exec_mode,
+    std::size_t fork_index, IsolationMode mode) const {
+  return process_latency_from(
+      simulate_group(functions, exec_mode, mode, false).makespan,
+      functions.size(), exec_mode, fork_index, mode);
+}
+
+TimeMs Predictor::process_latency_from(TimeMs exec, std::size_t group_size,
+                                       ExecMode exec_mode,
+                                       std::size_t fork_index,
+                                       IsolationMode mode) const {
   const RuntimeParams& p = config_.params;
-  TimeMs exec = group_exec(g, mode, false)->makespan;
   // SFI-style isolation charges per thread interaction (Table 1); MPK has
   // zero interaction cost.
   if ((mode == IsolationMode::kSfi || mode == IsolationMode::kMpk) &&
-      g.size() > 1) {
+      group_size > 1) {
     const IsolationParams& iso =
         mode == IsolationMode::kSfi ? p.sfi : p.mpk;
-    exec += iso.interaction_ms * static_cast<TimeMs>(g.size() - 1);
+    exec += iso.interaction_ms * static_cast<TimeMs>(group_size - 1);
   }
-  if (g.mode == ExecMode::kThread) {
+  if (exec_mode == ExecMode::kThread) {
     return exec;  // resident orchestrator process: no fork cost
   }
   return static_cast<TimeMs>(fork_index) * p.process_block_ms +
          p.process_startup_ms + exec;
 }
 
+TimeMs Predictor::wrap_latency_from(TimeMs slowest_process,
+                                    std::size_t nproc) const {
+  return slowest_process +
+         config_.params.ipc_pipe_ms *
+             static_cast<TimeMs>(nproc > 0 ? nproc - 1 : 0);
+}
+
 TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
                                std::size_t cpu_cap) const {
   const RuntimeParams& p = config_.params;
-  const bool true_parallel =
-      config_.runtime == Runtime::kJava || mode == IsolationMode::kPool;
 
-  if (true_parallel) {
+  if (simulates_whole_wrap(mode)) {
     // Pool workers / Java threads: all functions dispatch with a small
     // stagger and run truly parallel on the allocated cores.
-    std::vector<FunctionBehavior> behaviors;
+    std::size_t functions = 0;
+    for (const ProcessGroup& g : w.processes) functions += g.size();
+    const std::span<ThreadTask> tasks = task_scratch(functions);
+    std::size_t next = 0;
     for (const ProcessGroup& g : w.processes) {
-      for (FunctionId f : g.functions) {
-        behaviors.push_back(
-            behavior_for(f, mode, /*thread_context=*/false, /*co_resident=*/1));
-      }
+      fill_tasks(tasks, next, g.functions, mode, /*thread_context=*/false);
+      next += g.size();
     }
-    const auto tasks = staggered_tasks(behaviors, spawn_gap(mode));
     const TimeMs exec = run_exec(tasks, mode, cpu_cap, false).makespan;
     // Pool workers exchange data over pipes; Java threads share memory.
-    const TimeMs ipc = config_.runtime == Runtime::kJava
-                           ? 0.0
-                           : p.ipc_pipe_ms *
-                                 static_cast<TimeMs>(
-                                     behaviors.empty() ? 0 : behaviors.size() - 1);
+    const TimeMs ipc =
+        config_.runtime == Runtime::kJava
+            ? 0.0
+            : p.ipc_pipe_ms *
+                  static_cast<TimeMs>(functions == 0 ? 0 : functions - 1);
     return exec + ipc;
   }
 
   const std::size_t nproc = w.process_count();
-  const TimeMs ipc =
-      p.ipc_pipe_ms * static_cast<TimeMs>(nproc > 0 ? nproc - 1 : 0);
-
   if (cpu_cap == 0 || nproc <= cpu_cap) {
     TimeMs slowest = 0.0;
     std::size_t fork_index = 0;
@@ -216,7 +260,7 @@ TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
       slowest = std::max(slowest, process_latency(g, fork_index, mode));
       if (g.mode == ExecMode::kProcess) ++fork_index;
     }
-    return slowest + ipc;
+    return wrap_latency_from(slowest, nproc);
   }
 
   // CPU-capped: collapse each process into its effective CPU/block profile
@@ -236,7 +280,7 @@ TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
     tasks.push_back(std::move(task));
   }
   CpuShareSimulator sim(cpu_cap);
-  return sim.run(tasks).makespan + ipc;
+  return wrap_latency_from(sim.run(tasks).makespan, nproc);
 }
 
 TimeMs Predictor::stage_latency(const StagePlan& sp, IsolationMode mode,

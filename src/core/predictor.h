@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/prediction_cache.h"
@@ -67,9 +68,27 @@ class Predictor {
   TimeMs process_latency(const ProcessGroup& g, std::size_t fork_index,
                          IsolationMode mode) const;
 
+  /// Eq. (4) for the group running `functions` (in spawn order) as
+  /// `exec_mode`, simulated without the prediction cache and without
+  /// building a ProcessGroup. Bit-identical to process_latency. PGP's KL
+  /// search uses it for candidate sets, which are mostly one-off.
+  TimeMs process_latency_uncached(std::span<const FunctionId> functions,
+                                  ExecMode exec_mode, std::size_t fork_index,
+                                  IsolationMode mode) const;
+
   /// Eq. (3): latency of one wrap.
   TimeMs wrap_latency(const Wrap& w, IsolationMode mode,
                       std::size_t cpu_cap = 0) const;
+
+  /// Eq. (3) from its inputs: the slowest of a wrap's `nproc` process
+  /// latencies (Eq. 4) plus the pipe IPC between them. wrap_latency's
+  /// per-process path and PGP's incremental KL evaluator share it.
+  TimeMs wrap_latency_from(TimeMs slowest_process, std::size_t nproc) const;
+
+  /// True when the functions of a whole wrap run as one simulation (Java
+  /// threads and pool workers are truly parallel), so a wrap's latency is
+  /// not a max over independent per-process latencies.
+  bool simulates_whole_wrap(IsolationMode mode) const;
 
   /// Eq. (2): latency of one stage (applies cpu_cap if the plan sets one).
   TimeMs stage_latency(const StagePlan& sp, IsolationMode mode,
@@ -97,19 +116,29 @@ class Predictor {
   void publish_cache_metrics() const;
 
  private:
-  /// Behaviour of `f` as executed under `mode` in a thread context
-  /// (isolation CPU overhead and co-resident-thread contention applied)
-  /// or process context (unmodified). `co_resident` counts the threads
-  /// sharing f's interpreter, including f.
-  FunctionBehavior behavior_for(FunctionId f, IsolationMode mode,
-                                bool thread_context,
-                                std::size_t co_resident) const;
   /// Spawn gap between sibling threads under `mode`.
   TimeMs spawn_gap(IsolationMode mode) const;
+  /// The task builder: writes the tasks of `functions` into
+  /// `slots[first, first + functions.size())` — each function's profile
+  /// under `mode`, with isolation CPU overhead and co-resident-thread
+  /// contention applied in a thread context (unmodified otherwise), ready
+  /// one spawn gap after its predecessor counting from slot 0.
+  void fill_tasks(std::span<ThreadTask> slots, std::size_t first,
+                  std::span<const FunctionId> functions, IsolationMode mode,
+                  bool thread_context) const;
+  /// Simulates `functions` as one process group of `exec_mode` over
+  /// thread-local task scratch; a warm call allocates only the result.
+  InterleaveResult simulate_group(std::span<const FunctionId> functions,
+                                  ExecMode exec_mode, IsolationMode mode,
+                                  bool record_spans) const;
   /// Runs the right interleaving engine for this runtime/mode.
-  InterleaveResult run_exec(const std::vector<ThreadTask>& tasks,
+  InterleaveResult run_exec(std::span<const ThreadTask> tasks,
                             IsolationMode mode, std::size_t cpus,
                             bool record_spans) const;
+  /// Eq. (4) given the group's exec makespan.
+  TimeMs process_latency_from(TimeMs exec, std::size_t group_size,
+                              ExecMode exec_mode, std::size_t fork_index,
+                              IsolationMode mode) const;
   /// Group exec makespan + effective behaviour (for capped stage sim).
   /// Memoized in `cache_` when config_.enable_cache is set; the returned
   /// pointer stays valid for the predictor's lifetime (or until

@@ -123,6 +123,21 @@ void FunctionBehavior::assign_jittered(const FunctionBehavior& base,
   assert(canonical(segments_));
 }
 
+void FunctionBehavior::assign_cpu_scaled(const FunctionBehavior& base,
+                                         double f1, double f2) {
+  if (f1 < 1.0 || f2 < 1.0) {
+    throw std::invalid_argument("cpu scale factors must be >= 1");
+  }
+  segments_.assign(base.segments_.begin(), base.segments_.end());
+  for (Segment& s : segments_) {
+    if (s.kind == Segment::Kind::kCpu) {
+      s.duration *= f1;
+      s.duration *= f2;
+    }
+  }
+  assert(canonical(segments_));
+}
+
 FunctionBehavior cpu_bound(TimeMs cpu_ms) {
   return FunctionBehavior({{Segment::Kind::kCpu, cpu_ms}});
 }

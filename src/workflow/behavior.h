@@ -83,6 +83,16 @@ class FunctionBehavior {
   /// neither empties nor merges a segment — checked in debug builds.
   void assign_jittered(const FunctionBehavior& base, double sigma, Rng& rng);
 
+  /// Becomes `base` with every CPU duration multiplied by `f1` and then by
+  /// `f2`. With `f1 = 1.0 + o1` and `f2 = 1.0 + o2` these are the same two
+  /// roundings as `base.with_cpu_overhead(o1).with_cpu_overhead(o2)`; a
+  /// factor of exactly 1.0 changes nothing. Factors must be >= 1. Reuses
+  /// this object's segment capacity. The result needs no
+  /// re-canonicalisation: `base` is canonical and a factor >= 1 can neither
+  /// zero a positive duration nor change a segment's kind, so nothing
+  /// empties or merges — checked in debug builds.
+  void assign_cpu_scaled(const FunctionBehavior& base, double f1, double f2);
+
   bool empty() const { return segments_.empty(); }
 
   friend bool operator==(const FunctionBehavior&,

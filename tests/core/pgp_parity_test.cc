@@ -47,7 +47,7 @@ Observed run(const Workflow& wf, TimeMs slo, std::size_t threads,
 void expect_same(const Observed& ref, const Observed& got,
                  const std::string& label) {
   EXPECT_EQ(ref.plan_json, got.plan_json) << label;
-  EXPECT_DOUBLE_EQ(ref.predicted, got.predicted) << label;
+  EXPECT_EQ(ref.predicted, got.predicted) << label;
   EXPECT_EQ(ref.slo_met, got.slo_met) << label;
   EXPECT_EQ(ref.processes, got.processes) << label;
   EXPECT_EQ(ref.stats.outer_iterations, got.stats.outer_iterations) << label;
@@ -94,7 +94,7 @@ TEST(PgpParityTest, RepeatedSchedulesAreIdempotent) {
   const PgpResult cold = scheduler.schedule(200.0);
   const PgpResult warm = scheduler.schedule(200.0);
   EXPECT_EQ(serialize_plan(cold.plan), serialize_plan(warm.plan));
-  EXPECT_DOUBLE_EQ(cold.predicted_latency_ms, warm.predicted_latency_ms);
+  EXPECT_EQ(cold.predicted_latency_ms, warm.predicted_latency_ms);
   EXPECT_EQ(cold.stats.outer_iterations, warm.stats.outer_iterations);
   EXPECT_EQ(cold.stats.predictor_calls, warm.stats.predictor_calls);
 }

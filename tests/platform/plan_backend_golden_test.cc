@@ -10,19 +10,22 @@
 // a behaviour change, not a stale constant.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/wrap.h"
 #include "platform/plan_backend.h"
 #include "platform/systems.h"
+#include "support/fingerprint.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
 namespace {
+
+using testsupport::Fnv;
+using testsupport::hex;
+using testsupport::with_runtime;
 
 constexpr int kRuns = 50;
 
@@ -33,21 +36,6 @@ const std::vector<std::string>& all_systems() {
       "Chiron",      "Chiron-M",    "Chiron-P",    "Chiron-S"};
   return systems;
 }
-
-class Fnv {
- public:
-  void word(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001B3ull;
-    }
-  }
-  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
-};
 
 void hash_result(Fnv& h, const RunResult& r) {
   h.real(r.e2e_latency_ms);
@@ -86,23 +74,6 @@ std::uint64_t systems_fingerprint(const Workflow& wf,
     h.word(fingerprint(*make_system(system, wf, opts), seed++));
   }
   return h.value();
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llxull",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-Workflow with_runtime(const Workflow& wf, Runtime runtime,
-                      const std::string& tag) {
-  std::vector<FunctionSpec> fns = wf.functions();
-  for (FunctionSpec& f : fns) {
-    f.runtime = runtime;
-    f.runtime_tag = tag;
-  }
-  return Workflow(wf.name() + "-" + tag, std::move(fns), wf.stages());
 }
 
 /// FINRA-10 on one CPU: two forked fetch processes, then two wraps of two

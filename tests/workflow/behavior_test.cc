@@ -102,6 +102,20 @@ TEST(BehaviorTest, CpuOverheadOnlyTouchesCpu) {
   EXPECT_THROW(b.with_cpu_overhead(-0.1), std::invalid_argument);
 }
 
+TEST(BehaviorTest, AssignCpuScaledMatchesChainedOverheads) {
+  const FunctionBehavior base = disk_io_bound(7.3, 4.1, 3);
+  const double o1 = 0.137, o2 = 0.0421;
+  const FunctionBehavior want =
+      base.with_cpu_overhead(o1).with_cpu_overhead(o2);
+  FunctionBehavior got = cpu_bound(99.0);  // previous contents are replaced
+  got.assign_cpu_scaled(base, 1.0 + o1, 1.0 + o2);
+  EXPECT_EQ(got, want);  // exact: the same two roundings per CPU segment
+  got.assign_cpu_scaled(base, 1.0, 1.0);
+  EXPECT_EQ(got, base);
+  EXPECT_THROW(got.assign_cpu_scaled(base, 0.9, 1.0), std::invalid_argument);
+  EXPECT_THROW(got.assign_cpu_scaled(base, 1.0, 0.5), std::invalid_argument);
+}
+
 TEST(BehaviorBuildersTest, CpuBound) {
   const auto b = cpu_bound(10.0);
   EXPECT_DOUBLE_EQ(b.total_cpu(), 10.0);
