@@ -57,9 +57,11 @@ void BM_PgpScheduleNoKl(benchmark::State& state) {
 BENCHMARK(BM_PgpScheduleNoKl)->Arg(5)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
-// Ablation: the pre-optimisation deploy path — no prediction cache, no
-// deploy pool. The gap to BM_PgpScheduleNoKl at the same size is the
-// value of the memoization + deploy-pool fast path.
+// Ablation: the deploy path without the prediction cache and without the
+// deploy pool (default use_kl, so KL runs at /50 and is skipped above
+// kl_function_limit at /200). The pool only serves KL rounds, so against
+// BM_PgpScheduleKl/50 the gap is the memoization plus the KL fan-out, and
+// against BM_PgpScheduleNoKl/200 it is the memoization alone.
 void BM_PgpScheduleUncachedSequential(benchmark::State& state) {
   const Workflow wf = make_finra(static_cast<std::size_t>(state.range(0)));
   PgpConfig config;

@@ -6,7 +6,10 @@
 # concurrency-sensitive subset — the live-thread engine, the local runner,
 # the emulated GIL, the tracer/metrics/recorder/obs-server layer, one
 # WrapPlanBackend shared by several threads (per-thread kernel scratch), and
-# the PGP deploy pool over the Predictor's per-thread task scratch.
+# the PGP deploy pool over the Predictor's per-thread task scratch: the
+# KernighanLin tests fan one KL round's swap grid out over pool lanes, and
+# PgpParity / PgpGolden drive that grid through the real StageEvaluator
+# (including the whole-wrap path through the shared PredictionCache).
 #
 #   scripts/check.sh            # plain tier-1
 #   scripts/check.sh --tsan     # tier-1 + sanitized concurrency subset
@@ -169,7 +172,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}"
   echo "== tsan: concurrency-sensitive subset =="
   ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
-    -R 'Engine|LocalRunner|EmulatedGil|Gil|Tracer|Counter|Gauge|Histogram|MetricsRegistry|Instrumentation|ThreadPool|PredictionCache|PgpParity|PgpGolden|Fault|Obs|Sweep|Cluster|Router|PlanBackend'
+    -R 'Engine|LocalRunner|EmulatedGil|Gil|Tracer|Counter|Gauge|Histogram|MetricsRegistry|Instrumentation|ThreadPool|PredictionCache|PgpParity|PgpGolden|KernighanLin|Fault|Obs|Sweep|Cluster|Router|PlanBackend'
 fi
 
 echo "== check.sh: all green =="

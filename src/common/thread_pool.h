@@ -1,14 +1,17 @@
 // Fixed-size thread pool for deterministic fan-out of independent work.
 //
-// The deploy path (PGP) issues many independent, CPU-bound evaluations —
-// per-stage partitioning and speculative outer-loop process counts — whose
-// results must be combined in a fixed order so the chosen plan is
-// bit-identical to the sequential search. The pool therefore exposes no
-// work stealing and no completion-order callbacks: callers submit tasks,
-// receive futures, and always consume results in submission (index) order.
+// Callers fan out independent, CPU-bound work whose results must be
+// combined in a fixed order so the outcome is bit-identical to a
+// sequential run: the KL rounds of the PGP deploy search (core/
+// kernighan_lin.cc, which reduces each round's per-cell results in
+// row-major order) and the (scenario, seed) runs of
+// ClusterSimulator::run_batch. The pool therefore has no work stealing and
+// no completion-order callbacks: map() returns results by index, and
+// kernighan_lin() collects its lanes' results in per-cell slots.
 //
 // Nesting rule: pool tasks must never block on other tasks of the same
-// pool (classic thread-pool deadlock). `map()` enforces this structurally:
+// pool (classic thread-pool deadlock). `map()` (and kernighan_lin(), the
+// same way) enforces this structurally:
 // when invoked from inside a worker thread it degrades to an inline
 // sequential loop, so parallel code can be composed freely — the outermost
 // parallel level fans out, inner levels run inline on the worker.

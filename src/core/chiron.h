@@ -26,8 +26,9 @@ struct ChironConfig {
   ProfilerConfig profiler;
   double conservative_factor = 1.08;
   bool use_kl = true;
-  /// Deploy-path worker threads for the PGP search (see PgpConfig);
-  /// 0 = auto, 1 = sequential. The produced plan is identical either way.
+  /// Deploy-path worker threads that share each KL round of the PGP
+  /// search (see PgpConfig); 0 = auto, 1 = sequential. The produced plan
+  /// is identical either way.
   std::size_t deploy_threads = 0;
   /// Memoize predictor group simulations during planning (see
   /// PgpConfig::prediction_cache).

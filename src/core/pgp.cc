@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -250,9 +251,15 @@ PgpScheduler::PgpScheduler(PgpConfig config, Workflow wf,
   for (StageId s = 0; s < wf_.stage_count(); ++s) {
     conflicted_.push_back(compute_conflicted(wf_, s));
   }
-  const std::size_t workers =
-      ThreadPool::resolve_workers(config_.deploy_threads);
-  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
+}
+
+ThreadPool* PgpScheduler::deploy_pool() const {
+  const std::size_t lanes = ThreadPool::resolve_workers(config_.deploy_threads);
+  if (lanes <= 1) return nullptr;
+  // The calling thread is one of the lanes; the pool supplies the rest.
+  std::call_once(pool_once_,
+                 [&] { pool_ = std::make_unique<ThreadPool>(lanes - 1); });
+  return pool_.get();
 }
 
 std::size_t PgpScheduler::search_wrap_count(std::size_t group_count) const {
@@ -302,11 +309,16 @@ std::vector<ProcessGroup> PgpScheduler::partition_stage(
       for (std::size_t q = p + 1; q < sets.size(); ++q) {
         PairLatencyEval eval = [&](const std::vector<FunctionId>& a,
                                    const std::vector<FunctionId>& b) {
-          ++stats.predictor_calls;
           return evaluator.eval_pair(p, q, a, b);
         };
-        KlResult kl = kernighan_lin(sets[p], sets[q], eval);
+        // Only a pair whose first round fans out spawns the pool.
+        ThreadPool* pool =
+            sets[p].size() * sets[q].size() >= kKlParallelMinCells
+                ? deploy_pool()
+                : nullptr;
+        KlResult kl = kernighan_lin(sets[p], sets[q], eval, pool);
         stats.kl_evaluations += kl.evaluations;
+        stats.predictor_calls += kl.evaluations;  // one per candidate
         sets[p] = std::move(kl.a);
         sets[q] = std::move(kl.b);
         evaluator.refresh(p, q);
@@ -356,36 +368,19 @@ StagePlan PgpScheduler::layout_stage(StageId s,
   return sp;
 }
 
-PgpScheduler::OuterOutcome PgpScheduler::evaluate_outer(std::size_t n) const {
+PgpScheduler::OuterOutcome PgpScheduler::evaluate_outer(
+    std::size_t n, PgpStats& stats) const {
   obs::ScopedSpan iter_span(obs::Tracer::global(), "pgp.outer_iteration",
                             "deploy", {{"n", static_cast<double>(n)}});
   OuterOutcome out;
   out.candidate.mode = config_.mode;
-  const std::size_t stages = wf_.stage_count();
-  struct StageResult {
-    std::vector<ProcessGroup> groups;
-    PgpStats stats;
-  };
-  // Per-stage partitions are independent (Algorithm 2 treats stages
-  // separately); fan them out when a pool is available. Each stage
-  // accumulates into its own PgpStats, merged below in stage order so the
-  // totals match the sequential run exactly.
-  auto per_stage =
-      ThreadPool::map(pool_.get(), stages, [&](std::size_t s) {
-        StageResult r;
-        r.groups = partition_stage(static_cast<StageId>(s), n, r.stats);
-        return r;
-      });
-  out.groups.resize(stages);
-  for (std::size_t s = 0; s < stages; ++s) {
-    out.groups[s] = std::move(per_stage[s].groups);
-    out.stats.kl_evaluations += per_stage[s].stats.kl_evaluations;
-    out.stats.predictor_calls += per_stage[s].stats.predictor_calls;
-    out.candidate.stages.push_back(
-        layout_stage(static_cast<StageId>(s), out.groups[s],
-                     search_wrap_count(out.groups[s].size())));
+  out.groups.resize(wf_.stage_count());
+  for (StageId s = 0; s < wf_.stage_count(); ++s) {
+    out.groups[s] = partition_stage(s, n, stats);
+    out.candidate.stages.push_back(layout_stage(
+        s, out.groups[s], search_wrap_count(out.groups[s].size())));
   }
-  ++out.stats.predictor_calls;
+  ++stats.predictor_calls;
   out.latency = predictor_.workflow_latency(out.candidate);
   return out;
 }
@@ -397,49 +392,23 @@ PgpResult PgpScheduler::schedule(TimeMs slo_ms) const {
   PgpResult result;
   const std::size_t max_n = std::max<std::size_t>(1, wf_.max_parallelism());
 
-  // Outer loop (Algorithm 2 lines 3-12): grow n until the SLO is met.
-  // With a pool, upcoming process counts are evaluated speculatively in
-  // widening waves; results are consumed in ascending n, the smallest
-  // SLO-meeting n is committed, and the stats of overshot counts are
-  // discarded — so plan and telemetry are identical to the sequential
-  // search. The width ramp (1, 2, 4, ...) keeps generous-SLO deployments
-  // (where n = 1 already fits) from paying for wasted speculation.
+  // Outer loop (Algorithm 2 lines 3-12): grow n until the SLO is met,
+  // keeping the fastest candidate in case none meets it.
   std::vector<std::vector<ProcessGroup>> stage_groups(wf_.stage_count());
   WrapPlan plan;
   TimeMs predicted = kInfiniteTime;
   std::size_t chosen_n = max_n;
-  const std::size_t speculation_cap = pool_ ? pool_->size() : 1;
-  std::size_t next_n = 1;
-  std::size_t width = 1;
-  bool met = false;
-  while (next_n <= max_n && !met) {
-    const std::size_t batch = std::min(width, max_n - next_n + 1);
-    auto outcomes = ThreadPool::map(pool_.get(), batch, [&](std::size_t i) {
-      return evaluate_outer(next_n + i);
-    });
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::size_t n = next_n + i;
-      OuterOutcome& out = outcomes[i];
-      ++result.stats.outer_iterations;
-      result.stats.kl_evaluations += out.stats.kl_evaluations;
-      result.stats.predictor_calls += out.stats.predictor_calls;
-      if (out.latency <= slo_ms) {
-        plan = std::move(out.candidate);
-        predicted = out.latency;
-        stage_groups = std::move(out.groups);
-        chosen_n = n;
-        met = true;
-        break;
-      }
-      if (out.latency < predicted) {
-        plan = std::move(out.candidate);
-        predicted = out.latency;
-        stage_groups = std::move(out.groups);
-        chosen_n = n;
-      }
+  for (std::size_t n = 1; n <= max_n; ++n) {
+    ++result.stats.outer_iterations;
+    OuterOutcome out = evaluate_outer(n, result.stats);
+    const bool met = out.latency <= slo_ms;
+    if (met || out.latency < predicted) {
+      plan = std::move(out.candidate);
+      predicted = out.latency;
+      stage_groups = std::move(out.groups);
+      chosen_n = n;
     }
-    next_n += batch;
-    width = std::min(speculation_cap, width * 2);
+    if (met) break;
   }
   result.processes = chosen_n;
   result.slo_met = predicted <= slo_ms;

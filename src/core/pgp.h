@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -46,10 +47,12 @@ struct PgpConfig {
   /// Faastlane+10 ms SLO of §6.2): resource savings come from threading,
   /// not from trading the whole SLO slack for time-sharing.
   double resource_slack = 0.10;
-  /// Deploy-path worker threads: independent per-stage partitions and
-  /// speculative outer-loop process counts evaluate concurrently, but the
-  /// committed plan is bit-identical to the sequential search (parity
-  /// tested). 0 = auto (hardware concurrency), 1 = fully sequential.
+  /// Deploy-path worker threads: the threads that evaluate one KL round's
+  /// candidate swaps (the calling thread plus deploy_threads - 1 pool
+  /// workers, spawned on the first round large enough to fan out). The
+  /// committed plan and PgpStats are bit-identical to the sequential
+  /// search (parity tested). 0 = auto (hardware concurrency), 1 = fully
+  /// sequential.
   std::size_t deploy_threads = 0;
   /// Memoize ProcessGroup simulations inside the Predictor (see
   /// prediction_cache.h); identical plans with the cache off.
@@ -104,7 +107,6 @@ class PgpScheduler {
     WrapPlan candidate;
     std::vector<std::vector<ProcessGroup>> groups;
     TimeMs latency = 0.0;
-    PgpStats stats;  ///< this iteration's partition + prediction work only
   };
 
   /// Functions of stage `s` that must be isolated in their own sandbox
@@ -119,10 +121,14 @@ class PgpScheduler {
   std::vector<ProcessGroup> partition_stage(StageId s, std::size_t n,
                                             PgpStats& stats) const;
 
-  /// Algorithm 2 lines 5-11 for one process count: partition every stage
-  /// (concurrently when a pool is available), lay the groups out with the
-  /// search-phase wrap count, and predict the workflow latency.
-  OuterOutcome evaluate_outer(std::size_t n) const;
+  /// Algorithm 2 lines 5-11 for one process count: partition every stage,
+  /// lay the groups out with the search-phase wrap count, and predict the
+  /// workflow latency. Adds the work done to `stats`.
+  OuterOutcome evaluate_outer(std::size_t n, PgpStats& stats) const;
+
+  /// The KL fan-out pool (config_.deploy_threads - 1 workers), spawned on
+  /// first use; null when deploy_threads resolves to 1.
+  ThreadPool* deploy_pool() const;
 
   /// Lays out `groups` into `wrap_count` balanced wraps (plus singleton
   /// wraps for the stage's conflicted functions).
@@ -138,9 +144,10 @@ class PgpScheduler {
   Predictor predictor_;
   /// conflicted_[s] = functions of stage s needing a dedicated sandbox.
   std::vector<std::vector<FunctionId>> conflicted_;
-  /// Deploy-path pool; null when config_.deploy_threads resolves to 1.
-  /// Workers idle between schedule() calls.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Deploy-path pool behind deploy_pool(). Workers idle between KL rounds
+  /// and between schedule() calls.
+  mutable std::once_flag pool_once_;
+  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace chiron

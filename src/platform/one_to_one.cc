@@ -27,7 +27,11 @@ TimeMs OneToOneBackend::jit(TimeMs value, Rng& rng) const {
 }
 
 RunResult OneToOneBackend::run(Rng& rng) const {
+  // One allocation per container: the two per-run vectors and each
+  // function's spans are sized up front.
   RunResult result;
+  result.functions.reserve(wf_.function_count());
+  result.stage_latency_ms.reserve(wf_.stage_count());
   const double run_scale =
       noise_.run_sigma > 0.0 ? rng.jitter(noise_.run_sigma) : 1.0;
   const FaultInjector* faults =
@@ -89,6 +93,7 @@ RunResult OneToOneBackend::run(Rng& rng) const {
         // Solo execution in a dedicated sandbox: spans follow the
         // behaviour directly.
         TimeMs cursor = tl.start_exec_ms;
+        tl.spans.reserve(spec.behavior.segments().size());
         for (const Segment& seg : spec.behavior.segments()) {
           const TimeMs d = jit(seg.duration, rng) * straggle;
           tl.spans.push_back({seg.kind == Segment::Kind::kCpu

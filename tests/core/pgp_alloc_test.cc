@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/pgp.h"
@@ -27,12 +28,14 @@ std::vector<FunctionBehavior> true_behaviors(const Workflow& wf) {
   return out;
 }
 
-/// Allocations per KL evaluation of one schedule() on a fresh scheduler.
-/// Sequential (deploy_threads = 1), so every evaluation runs on this
-/// thread and the count does not depend on how a pool splits the work.
-double allocs_per_evaluation(const Workflow& wf, TimeMs slo) {
+/// Allocations per KL evaluation of one schedule() on a fresh scheduler
+/// with `threads` deploy threads. The counter is process-wide, so pooled
+/// runs also count the lanes' work, the lazy pool spawn and the round
+/// hand-offs.
+double allocs_per_evaluation(const Workflow& wf, TimeMs slo,
+                             std::size_t threads = 1) {
   PgpConfig config;
-  config.deploy_threads = 1;
+  config.deploy_threads = threads;
   const PgpScheduler scheduler(config, wf, true_behaviors(wf));
   testsupport::ScopedAllocCounter counter;
   const PgpResult result = scheduler.schedule(slo);
@@ -56,6 +59,21 @@ TEST(PgpAllocationTest, KlEvaluationsStayAllocationLight) {
   // the thread-local scratch is warm, so a count that grew would mean the
   // scratch is rebuilt rather than reused.
   EXPECT_LE(second, first);
+}
+
+// A fanned-out round costs a handful of allocations (its snapshot and
+// result slots, plus a hand-off when a lane has to be woken); lanes reuse
+// thread-local copies of the working sets, so nothing is allocated per
+// cell.
+TEST(PgpAllocationTest, PooledKlEvaluationsStayAllocationLight) {
+  if (!testsupport::alloc_counting_supported()) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  const Workflow wf = make_finra(50);
+  const TimeMs slo = default_slo(wf, SystemOptions{});
+  const double pooled = allocs_per_evaluation(wf, slo, 4);
+  RecordProperty("allocs_per_evaluation", std::to_string(pooled));
+  EXPECT_LE(pooled, kMaxAllocsPerEvaluation);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Determinism of the deploy-path performance layer: the parallel /
-// speculative / memoized search must commit byte-for-byte the plan the
-// plain sequential uncached search commits, with identical telemetry.
+// Determinism of the deploy-path performance layer: the search with KL
+// rounds fanned out over the deploy pool and with the prediction cache
+// must commit byte-for-byte the plan the plain sequential uncached search
+// commits, with identical telemetry.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,7 +1,8 @@
-// The WrapPlanBackend hot path: a warm run() allocates only the RunResult
-// it returns (bounded per call, constant from call to call), and one
-// backend shared by several threads gives each thread exactly the results
-// it would get alone — the per-thread kernel scratch leaks nothing.
+// The backend hot paths: a warm WrapPlanBackend or OneToOneBackend run()
+// allocates only the RunResult it returns (bounded per call, constant from
+// call to call), and one WrapPlanBackend shared by several threads gives
+// each thread exactly the results it would get alone — the per-thread
+// kernel scratch leaks nothing.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -64,6 +65,27 @@ TEST(PlanBackendAllocationTest, WarmRunAllocatesOnlyItsResult) {
   // Scratch is reused, not grown: the thousandth call costs what the
   // tenth did.
   EXPECT_EQ(at_10, at_1000);
+}
+
+// The one-to-one backend (each function in its own sandbox) has no kernel
+// scratch: a run allocates the result's two vectors and one span vector
+// per function, each sized once.
+TEST(PlanBackendAllocationTest, OpenFaasRunAllocatesOnlyItsResult) {
+  if (!testsupport::alloc_counting_supported()) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  const Workflow wf = make_social_network();
+  const std::unique_ptr<Backend> backend =
+      make_system("OpenFaaS", wf, SystemOptions{});
+  const std::uint64_t bound = wf.function_count() + 2;
+  Rng rng(42);
+  for (int call = 1; call <= 100; ++call) {
+    testsupport::ScopedAllocCounter counter;
+    const RunResult result = backend->run(rng);
+    const std::uint64_t allocs = counter.count();
+    ASSERT_EQ(result.functions.size(), wf.function_count());
+    ASSERT_LE(allocs, bound) << "call " << call;
+  }
 }
 
 /// Every bit of a RunResult, in a fixed order.
