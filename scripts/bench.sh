@@ -181,18 +181,11 @@ for family, ref in (("BM_GilSimulationThreads", "BM_GilSimulationThreadsSlowRef"
 out["kernel_bigo"] = kernels
 
 # Serving-loop hot path: the typed-event loop (slab events, lazy arrival
-# and timeout merges, O(1) cancellation) vs the retired closure loop, on
-# the high-churn overload scenario. check.sh guards the fast fit against
-# superlinear regressions and the speedup at 64k against < 2x.
-cluster = {"fast": bigo("micro_cluster", "BM_ClusterRun"),
-           "reference": bigo("micro_cluster", "BM_ClusterRunReference")}
-fast64 = time_at("micro_cluster", "BM_ClusterRun/65536")
-ref64 = time_at("micro_cluster", "BM_ClusterRunReference/65536")
-if fast64 and ref64:
-    cluster["speedup_at_65536"] = ref64 / fast64
-    print("cluster hot path: BigO %s, %.1fx vs closure reference at 65536"
-          % (cluster["fast"]["big_o"] if cluster["fast"] else "?",
-             cluster["speedup_at_65536"]))
+# and timeout merges, O(1) cancellation) on the high-churn overload
+# scenario. check.sh guards the fit against superlinear regressions.
+cluster = {"fast": bigo("micro_cluster", "BM_ClusterRun")}
+if cluster["fast"]:
+    print("cluster hot path: BigO %s" % cluster["fast"]["big_o"])
 out["cluster_hotpath"] = cluster
 
 # Router-policy comparison on the skewed 8-node burst scenario: cold

@@ -57,12 +57,9 @@ if fit in ("N^2", "N^3"):
 PY
 
 echo "== tier-1: cluster hot-path guard =="
-# The typed-event serving loop must stay near-linear and meaningfully
-# ahead of the retired closure loop: the fast family's complexity fit has
-# to come out at N log N or better, and the measured speedup over the
-# reference at 65536 requests must hold >= 2x (the recorded full-run
-# numbers in BENCH_deploy.json sit much higher; 2x keeps the quick
-# min_time=0.01 fit from flaking on a loaded box).
+# The typed-event serving loop must stay near-linear: its complexity fit
+# on the high-churn overload scenario has to come out at N log N or
+# better.
 CLUSTER_GUARD_JSON="${BENCH_BUILD_DIR:-build-bench}/cluster_guard.json"
 "${BENCH_BUILD_DIR:-build-bench}/bench/bench_micro_cluster" \
   --benchmark_min_time=0.01 \
@@ -70,12 +67,8 @@ CLUSTER_GUARD_JSON="${BENCH_BUILD_DIR:-build-bench}/cluster_guard.json"
 python3 - "${CLUSTER_GUARD_JSON}" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-fits, times = {}, {}
-for b in doc.get("benchmarks", []):
-    if b.get("aggregate_name") == "BigO":
-        fits[b["name"]] = b.get("big_o")
-    elif "real_time" in b:
-        times[b["name"]] = b["real_time"]
+fits = {b["name"]: b.get("big_o") for b in doc.get("benchmarks", [])
+        if b.get("aggregate_name") == "BigO"}
 fit = fits.get("BM_ClusterRun_BigO")
 if fit is None:
     sys.exit("cluster guard: no complexity fit emitted for BM_ClusterRun")
@@ -83,15 +76,6 @@ print("BM_ClusterRun BigO fit: %s" % fit)
 if fit in ("N^2", "N^3"):
     sys.exit("cluster guard: serving loop regressed to %s "
              "(want <= N log N)" % fit)
-fast = times.get("BM_ClusterRun/65536")
-ref = times.get("BM_ClusterRunReference/65536")
-if not fast or not ref:
-    sys.exit("cluster guard: missing 65536-request timings")
-speedup = ref / fast
-print("BM_ClusterRun speedup at 65536: %.2fx vs closure reference" % speedup)
-if speedup < 2.0:
-    sys.exit("cluster guard: typed loop only %.2fx faster than the "
-             "closure reference at 65536 (want >= 2x)" % speedup)
 PY
 
 echo "== tier-1: router policy guard =="

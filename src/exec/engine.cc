@@ -9,6 +9,7 @@
 
 #include "common/log.h"
 #include "exec/emulated_gil.h"
+#include "obs/fault_schema.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -38,13 +39,12 @@ FunctionBehavior truncate_behavior(const FunctionBehavior& behavior,
 void note_live_fault(FaultKind kind, std::uint64_t request_id,
                      std::uint32_t task_cell, double value) {
   obs::MetricsRegistry& m = obs::MetricsRegistry::global();
-  m.counter("chiron.fault.injected").inc();
-  m.counter(std::string("chiron.fault.injected.") + to_string(kind)).inc();
+  const obs::FaultKindSchema& schema = obs::fault_schema(kind);
+  m.counter(obs::kFaultCounter).inc();
+  m.counter(schema.counter).inc();
   obs::FlightRecorder& rec = obs::FlightRecorder::global();
   if (rec.enabled()) {
-    rec.record(kind == FaultKind::kCrash ? obs::RecKind::kFaultCrash
-                                         : obs::RecKind::kFaultStraggler,
-               request_id, task_cell, rec.now_ms(), value);
+    rec.record(schema.rec, request_id, task_cell, rec.now_ms(), value);
   }
 }
 
@@ -138,13 +138,17 @@ namespace {
 
 // Spins for `ms` of CPU while holding `gil`, yielding at ~0.2 ms
 // checkpoints when the switch interval has elapsed and others wait.
-// Time spent without the GIL (inside yield) does not count as progress.
+// Progress is the wall time spent holding the GIL, as in spin_for_ms: a
+// checkpoint that overruns (the host preempted the thread) counts in
+// full, so host load does not stretch the segment. Time spent without
+// the GIL (inside yield) does not count.
 void spin_with_gil(TimeMs ms, EmulatedGil& gil) {
   TimeMs done = 0.0;
   while (done < ms) {
-    const TimeMs step = std::min<TimeMs>(0.2, ms - done);
-    spin_for_ms(step);
-    done += step;
+    const auto t0 = Clock::now();
+    spin_for_ms(std::min<TimeMs>(0.2, ms - done));
+    done += std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                .count();
     if (done < ms && gil.should_yield()) gil.yield();
   }
 }
@@ -154,6 +158,9 @@ InterleaveResult execute(const std::vector<ThreadTask>& tasks,
   InterleaveResult result;
   result.tasks.resize(tasks.size());
   std::mutex result_mu;
+  // The one-time spin calibration must not land inside the first task's
+  // first CPU segment.
+  spin_iterations_per_ms();
   const auto origin = Clock::now();
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();

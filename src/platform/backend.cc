@@ -1,15 +1,14 @@
 #include "platform/backend.h"
 
-#include <string>
-
+#include "obs/fault_schema.h"
 #include "obs/metrics.h"
 
 namespace chiron {
 
 void note_backend_fault(FaultKind kind) {
   obs::MetricsRegistry& m = obs::MetricsRegistry::global();
-  m.counter("chiron.fault.injected").inc();
-  m.counter(std::string("chiron.fault.injected.") + to_string(kind)).inc();
+  m.counter(obs::kFaultCounter).inc();
+  m.counter(obs::fault_schema(kind).counter).inc();
 }
 
 TimeMs Backend::mean_latency(Rng& rng, int runs) const {

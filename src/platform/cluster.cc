@@ -1,17 +1,18 @@
 #include "platform/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/log.h"
 #include "common/thread_pool.h"
 #include "metrics/stats.h"
+#include "obs/fault_schema.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -20,17 +21,6 @@
 namespace chiron {
 
 namespace {
-
-/// Recorder event kind for an injected fault.
-obs::RecKind fault_rec_kind(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kColdStart: return obs::RecKind::kFaultColdStart;
-    case FaultKind::kCrash: return obs::RecKind::kFaultCrash;
-    case FaultKind::kStraggler: return obs::RecKind::kFaultStraggler;
-    case FaultKind::kNodeCrash: return obs::RecKind::kNodeCrash;
-    default: return obs::RecKind::kFaultTransfer;
-  }
-}
 
 /// The serving loop's typed POD event: the whole per-request state machine
 /// dispatches on {kind, request id} — no per-event closures. For
@@ -112,9 +102,8 @@ std::size_t floor_capacity(double capacity) {
   return static_cast<std::size_t>(capacity * (1.0 + 1e-9));
 }
 
-/// Instances one node can host. Each resource dimension bounds capacity
-/// independently: a memory-only (or cpu-only) deployment is limited by
-/// its nonzero dimension alone.
+}  // namespace
+
 std::size_t node_capacity(const ResourceUsage& usage,
                           const RuntimeParams& params) {
   const double node_cpus = static_cast<double>(params.node_cpus);
@@ -126,8 +115,6 @@ std::size_t node_capacity(const ResourceUsage& usage,
   }
   return std::max<std::size_t>(1, floor_capacity(capacity));
 }
-
-}  // namespace
 
 TimeMs cold_start_penalty(const RuntimeParams& params,
                           std::size_t cascading_stages) {
@@ -153,33 +140,26 @@ ClusterResult ClusterSimulator::run(const Backend& backend,
                       obs::mint_request_ids(arrival_times.size()));
 }
 
-ClusterResult ClusterSimulator::run_reference(
-    const Backend& backend, std::size_t cascading_stages) const {
-  Rng rng(config_.seed);
-  ArrivalGenerator arrivals(config_.arrivals, config_.offered_rps,
-                            rng.split());
-  const std::vector<TimeMs> arrival_times =
-      arrivals.generate(config_.horizon_ms);
-  return run_prepared_reference(backend, cascading_stages, arrival_times,
-                                obs::mint_request_ids(arrival_times.size()));
-}
-
 // ---------------------------------------------------------------------------
 // Sharded typed-event serving loop — the one serving engine.
 //
 // Every node owns its own capacity, warm-instance ring, and waiting
 // queue, and the Router places each dispatch against live per-node
-// state. It is the closure loop below expressed as a switch over POD
-// {kind, id} events, with allocation-free data structures: the lazy
-// arrival merge, the timeout ring, tombstoned queues. A one-node run
-// issues the identical schedule() sequence under the identical (time,
-// seq) FIFO order, draws the Rng in the identical order, and performs
-// the identical float arithmetic as run_prepared_reference, so their
-// ClusterResults are bit-identical (asserted by ClusterParityTest).
+// state. The loop is a switch over POD {kind, id} events with
+// allocation-free data structures: the lazy arrival merge, the timeout
+// ring, tombstoned queues. Its (time, seq) event order, Rng draw order
+// and float accounting are those of the sequential model spec in
+// tests/support/cluster_spec.cc, so the two produce bit-identical
+// ClusterResults at every node count (asserted by ClusterSpecParityTest).
 // ---------------------------------------------------------------------------
 ClusterResult ClusterSimulator::run_prepared(
     const Backend& backend, std::size_t cascading_stages,
     const std::vector<TimeMs>& arrival_times, std::uint64_t id_base) const {
+  if (!std::is_sorted(arrival_times.begin(), arrival_times.end())) {
+    throw std::invalid_argument(
+        "ClusterSimulator::run_prepared: arrival_times must be "
+        "nondecreasing");
+  }
   const std::uint32_t node_count =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, config_.nodes));
   const std::size_t per_node_capacity =
@@ -188,8 +168,7 @@ ClusterResult ClusterSimulator::run_prepared(
 
   // Reconstruct the seeded stream exactly as run() threads it: the first
   // split fed the arrival generator, the second (further below) drives
-  // service times in event order, and the third seeds the router — taken
-  // last so the first two streams match the reference draw-for-draw.
+  // service times in event order, and the third seeds the router.
   Rng rng(config_.seed);
   (void)rng.split();
 
@@ -201,8 +180,6 @@ ClusterResult ClusterSimulator::run_prepared(
   const FaultInjector injector(config_.faults);
   const RetryPolicy& retry = config_.retry;
   const bool has_timeout = retry.timeout_ms > 0.0;
-  const bool sorted_arrivals =
-      std::is_sorted(arrival_times.begin(), arrival_times.end());
 
   // Observability sinks: all cluster events carry *simulated* timestamps.
   obs::Tracer* tracer =
@@ -217,7 +194,7 @@ ClusterResult ClusterSimulator::run_prepared(
   obs::Histogram* latency_hist =
       metrics ? &metrics->histogram("cluster.e2e_latency_ms") : nullptr;
   obs::Counter* fault_counter =
-      metrics ? &metrics->counter("chiron.fault.injected") : nullptr;
+      metrics ? &metrics->counter(obs::kFaultCounter) : nullptr;
   obs::Counter* retry_counter =
       metrics ? &metrics->counter("chiron.retry.attempts") : nullptr;
   obs::Counter* timeout_counter =
@@ -226,29 +203,18 @@ ClusterResult ClusterSimulator::run_prepared(
       config_.recorder && config_.recorder->enabled() ? config_.recorder
                                                       : nullptr;
 
-  // Per-kind fault sinks resolved once, not per event (the reference
-  // builds a registry key per injected fault). Transfer faults belong to
-  // the plan backends; node-crash victims are counted under their own
-  // kind, so the cold_start + crash == failed invariant of
-  // node-crash-free runs is undisturbed.
-  auto kind_index = [](FaultKind kind) -> int {
-    switch (kind) {
-      case FaultKind::kColdStart: return 0;
-      case FaultKind::kCrash: return 1;
-      case FaultKind::kStraggler: return 2;
-      case FaultKind::kNodeCrash: return 3;
-      default: return -1;
-    }
-  };
-  obs::Counter* kind_counter[4] = {nullptr, nullptr, nullptr, nullptr};
+  // Per-kind counters of the faults this loop injects, resolved once, not
+  // per event. Transfer faults belong to the plan backends; node-crash
+  // victims are counted under their own kind, so the cold_start + crash
+  // == failed invariant of node-crash-free runs is undisturbed.
+  std::array<obs::Counter*, obs::kFaultKindSchema.size()> kind_counter{};
   if (metrics) {
-    kind_counter[0] = &metrics->counter("chiron.fault.injected.cold_start");
-    kind_counter[1] = &metrics->counter("chiron.fault.injected.crash");
-    kind_counter[2] = &metrics->counter("chiron.fault.injected.straggler");
-    kind_counter[3] = &metrics->counter("chiron.fault.injected.node_crash");
+    for (const FaultKind kind : {FaultKind::kColdStart, FaultKind::kCrash,
+                                 FaultKind::kStraggler, FaultKind::kNodeCrash}) {
+      kind_counter[static_cast<std::size_t>(kind)] =
+          &metrics->counter(obs::fault_schema(kind).counter);
+    }
   }
-  const std::string fault_label[4] = {"fault.cold_start", "fault.crash",
-                                      "fault.straggler", "fault.node_crash"};
 
   // Per-node observability: cluster.node.<k>.{cold_starts,queue_depth}.
   std::vector<obs::Counter*> node_cold_counter(node_count, nullptr);
@@ -278,25 +244,26 @@ ClusterResult ClusterSimulator::run_prepared(
       kDone,
     } phase = Phase::kWaiting;
     ClusterEventQueue::Handle pending_ev{};
-    ClusterEventQueue::Handle timeout_ev{};
-    bool has_timeout_ev = false;
+    bool has_timeout_ev = false;  ///< its timeout-ring entry is live
   };
   std::vector<ReqState> reqs(n);
 
   auto count_fault = [&](FaultKind kind, std::uint32_t id,
                          std::uint32_t attempt, TimeMs now,
                          double value = 0.0) {
-    const int k = kind_index(kind);
+    const obs::FaultKindSchema& schema = obs::fault_schema(kind);
     if (fault_counter) fault_counter->inc();
-    if (k >= 0 && kind_counter[k]) kind_counter[k]->inc();
-    if (tracer && k >= 0) {
-      tracer->instant_at(fault_label[k], "fault", obs::kVirtualPid,
+    if (obs::Counter* counter = kind_counter[static_cast<std::size_t>(kind)]) {
+      counter->inc();
+    }
+    if (tracer) {
+      tracer->instant_at(schema.label, "fault", obs::kVirtualPid,
                          request_track, now,
                          {{"request", static_cast<double>(rid(id))},
                           {"attempt", static_cast<double>(attempt)}});
     }
     if (recorder) {
-      recorder->record(fault_rec_kind(kind), rid(id), attempt, now, value,
+      recorder->record(schema.rec, rid(id), attempt, now, value,
                        static_cast<std::int32_t>(reqs[id].node));
     }
   };
@@ -341,18 +308,17 @@ ClusterResult ClusterSimulator::run_prepared(
   // pending timeout is always the ring front — no heap entry, no
   // O(log n) sift per request. Timeouts disarmed by finalize stay behind
   // as lazy tombstones (has_timeout_ev == false) and are skipped at the
-  // front. Each entry carries the seq the reference would have stamped
-  // on its schedule() call (minted from the shared counter), so the
-  // three-way merge in next_event reproduces the single-queue (time,
-  // seq) order exactly, ties included.
+  // front. Each entry carries a seq minted from the heap's counter at the
+  // point a single event queue would have scheduled it, so the three-way
+  // merge in next_event reproduces the single-queue (time, seq) order
+  // exactly, ties included.
   struct TimeoutEntry {
     TimeMs at;
     std::uint64_t seq;
     std::uint32_t id;
   };
-  const bool use_timeout_ring = has_timeout && sorted_arrivals;
   Ring<TimeoutEntry> timeout_ring;
-  if (use_timeout_ring) timeout_ring.reserve(n + 1);
+  if (has_timeout) timeout_ring.reserve(n + 1);
 
   auto note_queue_depth = [&](TimeMs now) {
     if (queue_gauge) queue_gauge->set(static_cast<double>(queued_total));
@@ -376,20 +342,19 @@ ClusterResult ClusterSimulator::run_prepared(
   Router router(config_.router, node_count, rng.split());  // third split
 
   // Event slab sized for the worst case so the loop never allocates:
-  // sorted arrivals never enter the heap, so live events are bounded by
-  // two per admitted request (pending + timeout) = 2n slots; the heap
-  // additionally holds one stale entry per cancel, and a request cancels
-  // at most twice over its lifetime (its timeout disarms once; a firing
-  // timeout cancels one pending event), so 4n entries bound the heap.
-  // Node crashes add one slot each plus heap slack for the cancellations
-  // their victims cause.
+  // arrivals and timeouts never enter the heap, so live events are
+  // bounded by one per request (its completion, crash or retry) = n
+  // slots; the heap additionally holds one stale entry per cancel, and a
+  // firing timeout cancels at most one pending event per request, so 2n
+  // entries bound the heap. Node crashes add one slot each plus heap
+  // slack for the cancellations their victims cause.
   const std::size_t crash_events =
       config_.faults.node_crash > 0.0 ? node_count : 0;
   const std::size_t crash_slack =
       crash_events * std::min(per_node_capacity, n);
   ClusterEventQueue events;
-  events.reserve(2 * n + crash_events + 8,
-                 4 * n + crash_events + crash_slack + 8);
+  events.reserve(n + crash_events + 8,
+                 2 * n + crash_events + crash_slack + 8);
   const TimeMs cold_penalty = cold_start_penalty(params_, cascading_stages);
 
   auto account = [&](TimeMs now) {
@@ -412,15 +377,12 @@ ClusterResult ClusterSimulator::run_prepared(
     for (std::uint32_t k = 0; k < node_count; ++k) reap_node(k, now);
   };
 
-  // Marks `id` terminal and disarms its outstanding timeout (in ring
-  // mode the ring entry becomes a lazy tombstone).
+  // Marks `id` terminal and disarms its outstanding timeout (the ring
+  // entry becomes a lazy tombstone).
   auto finalize = [&](std::uint32_t id) {
     ReqState& r = reqs[id];
     r.phase = ReqState::Phase::kDone;
-    if (r.has_timeout_ev) {
-      if (!use_timeout_ring) events.cancel(r.timeout_ev);
-      r.has_timeout_ev = false;
-    }
+    r.has_timeout_ev = false;
   };
 
   auto end_request_span = [&](std::uint32_t id, TimeMs now) {
@@ -581,28 +543,15 @@ ClusterResult ClusterSimulator::run_prepared(
 
   for (std::size_t i = 0; i < n; ++i) reqs[i].arrival = arrival_times[i];
 
-  // Arrival merge. ArrivalGenerator emits nondecreasing times, so the
-  // arrival stream needs no heap: the next event is whichever of (next
-  // unfired arrival, timeout ring front, heap top) is earliest, keeping
-  // the heap at O(live requests). Ties go to the arrival — exactly the
-  // reference order, where every arrival was scheduled before the loop
-  // began and so outranks any runtime event at the same time. Unsorted
-  // times (possible through the public run_prepared) fall back to heaping
-  // the arrivals in index order, which is also the reference's order.
+  // Arrival merge. Arrival times are nondecreasing, so the arrival stream
+  // needs no heap: the next event is whichever of (next unfired arrival,
+  // timeout ring front, heap top) is earliest, keeping the heap at
+  // O(live requests). Ties go to the arrival, as if every arrival had
+  // been scheduled before the loop began.
   std::size_t next_arrival = 0;
-  if (!sorted_arrivals) {
-    for (std::size_t i = 0; i < n; ++i) {
-      events.schedule(arrival_times[i],
-                      ClusterEvent{ClusterEvent::Kind::kArrival,
-                                   static_cast<std::uint32_t>(i)});
-    }
-    next_arrival = n;
-  }
 
   // Seeded node crashes enter the heap before the loop starts: each node
-  // crashes at most once, at a seeded fraction of the horizon. With
-  // node_crash == 0 nothing is scheduled, so the seq stream matches the
-  // reference exactly.
+  // crashes at most once, at a seeded fraction of the horizon.
   if (config_.faults.node_crash > 0.0) {
     for (std::uint32_t k = 0; k < node_count; ++k) {
       if (!injector.node_crashes(k)) continue;
@@ -667,14 +616,8 @@ ClusterResult ClusterSimulator::run_prepared(
         }
         if (has_timeout) {
           reqs[id].has_timeout_ev = true;
-          if (use_timeout_ring) {
-            timeout_ring.push_back(
-                TimeoutEntry{at + retry.timeout_ms, events.mint_seq(), id});
-          } else {
-            reqs[id].timeout_ev = events.schedule(
-                at + retry.timeout_ms,
-                ClusterEvent{ClusterEvent::Kind::kTimeout, id});
-          }
+          timeout_ring.push_back(
+              TimeoutEntry{at + retry.timeout_ms, events.mint_seq(), id});
         }
         start_request(id, at);
         break;
@@ -787,14 +730,16 @@ ClusterResult ClusterSimulator::run_prepared(
         NodeState& node = nodes[k];
         ++result.node_crashes;
         ++result.node_results[k].node_crashes;
+        const obs::FaultKindSchema& schema =
+            obs::fault_schema(FaultKind::kNodeCrash);
         if (tracer) {
-          tracer->instant_at("fault.node_crash", "fault", obs::kVirtualPid,
+          tracer->instant_at(schema.label, "fault", obs::kVirtualPid,
                              request_track, at,
                              {{"node", static_cast<double>(k)},
                               {"victims", static_cast<double>(node.busy)}});
         }
         if (recorder) {
-          recorder->record(obs::RecKind::kNodeCrash, 0, 0, at,
+          recorder->record(schema.rec, 0, 0, at,
                            static_cast<double>(node.busy),
                            static_cast<std::int32_t>(k));
         }
@@ -859,417 +804,6 @@ ClusterResult ClusterSimulator::run_prepared(
                      << " timeouts, " << result.dropped
                      << " drops, peak queue " << result.peak_queue << ", "
                      << result.node_crashes << " node crashes";
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Retired closure-based loop, kept as the single-node parity oracle.
-// ---------------------------------------------------------------------------
-ClusterResult ClusterSimulator::run_prepared_reference(
-    const Backend& backend, std::size_t cascading_stages,
-    const std::vector<TimeMs>& arrival_times, std::uint64_t id_base) const {
-  const std::size_t max_instances =
-      node_capacity(backend.resources(), params_);
-
-  // Reconstruct the seeded stream exactly as run() threads it: the first
-  // split fed the arrival generator, the second (below) drives service
-  // times.
-  Rng rng(config_.seed);
-  (void)rng.split();
-
-  ClusterResult result;
-  result.offered = arrival_times.size();
-
-  // Request causality: every request of this run carries a process-unique
-  // trace id from the pre-minted block; recorder and tracer events are
-  // keyed by it. Fault decisions keep hashing the arrival *index*, so the
-  // minted ids never change a seeded run's outcome.
-  result.request_id_base = id_base;
-
-  const FaultInjector injector(config_.faults);
-  const RetryPolicy& retry = config_.retry;
-  const bool has_timeout = retry.timeout_ms > 0.0;
-
-  // Observability sinks: all cluster events carry *simulated* timestamps.
-  obs::Tracer* tracer =
-      config_.tracer && config_.tracer->enabled() ? config_.tracer : nullptr;
-  obs::MetricsRegistry* metrics = config_.metrics;
-  const int request_track =
-      tracer ? tracer->new_track("cluster.requests", obs::kVirtualPid) : 0;
-  obs::Counter* cold_counter =
-      metrics ? &metrics->counter("cluster.cold_starts") : nullptr;
-  obs::Gauge* queue_gauge =
-      metrics ? &metrics->gauge("cluster.queue_depth") : nullptr;
-  obs::Histogram* latency_hist =
-      metrics ? &metrics->histogram("cluster.e2e_latency_ms") : nullptr;
-  obs::Counter* fault_counter =
-      metrics ? &metrics->counter("chiron.fault.injected") : nullptr;
-  obs::Counter* retry_counter =
-      metrics ? &metrics->counter("chiron.retry.attempts") : nullptr;
-  obs::Counter* timeout_counter =
-      metrics ? &metrics->counter("chiron.request.timeout") : nullptr;
-  obs::FlightRecorder* recorder =
-      config_.recorder && config_.recorder->enabled() ? config_.recorder
-                                                      : nullptr;
-
-  // The process-unique trace id of arrival `id`.
-  auto rid = [id_base](std::uint64_t id) { return id_base + id; };
-
-  auto count_fault = [&](FaultKind kind, std::uint64_t id,
-                         std::uint32_t attempt, TimeMs now,
-                         double value = 0.0) {
-    if (fault_counter) fault_counter->inc();
-    if (metrics) {
-      metrics
-          ->counter(std::string("chiron.fault.injected.") + to_string(kind))
-          .inc();
-    }
-    if (tracer) {
-      tracer->instant_at(std::string("fault.") + to_string(kind), "fault",
-                         obs::kVirtualPid, request_track, now,
-                         {{"request", static_cast<double>(rid(id))},
-                          {"attempt", static_cast<double>(attempt)}});
-    }
-    if (recorder) {
-      recorder->record(fault_rec_kind(kind), rid(id), attempt, now, value);
-    }
-  };
-
-  // Instance states: warm holds the idle-since time of each resident but
-  // idle instance.
-  std::vector<TimeMs> warm;
-  std::size_t live = 0;             // busy + warm instances
-  std::size_t busy = 0;
-
-  // Per-request recovery state. A request is terminal (kDone) exactly once:
-  // completed, timed out, or dropped after max_attempts.
-  struct ReqState {
-    TimeMs arrival = 0.0;
-    std::uint32_t attempt = 1;
-    enum class Phase : std::uint8_t {
-      kWaiting,   ///< arrival not yet processed
-      kQueued,    ///< waiting for capacity
-      kRunning,   ///< on an instance (pending_ev = completion or crash)
-      kBackoff,   ///< waiting to re-attempt (pending_ev = retry)
-      kDone,
-    } phase = Phase::kWaiting;
-    EventQueue::Handle pending_ev = 0;
-    EventQueue::Handle timeout_ev = 0;
-    bool has_timeout_ev = false;
-  };
-  std::vector<ReqState> reqs(arrival_times.size());
-
-  // Waiting request ids; timed-out entries are erased eagerly.
-  std::deque<std::uint64_t> queue;
-
-  auto note_queue_depth = [&](TimeMs now) {
-    if (queue_gauge) queue_gauge->set(static_cast<double>(queue.size()));
-    if (tracer) {
-      tracer->counter_at("cluster.queue_depth",
-                         static_cast<double>(queue.size()), obs::kVirtualPid,
-                         0, now);
-    }
-  };
-
-  std::vector<double> latencies;
-  double busy_area = 0.0;  // integral of busy instances over time
-  TimeMs last_event = 0.0;
-  Rng run_rng = rng.split();
-  std::size_t routed = 0;  // dispatches placed (mirrors NodeResult::routed)
-
-  EventQueue events;
-  const TimeMs cold_penalty = cold_start_penalty(params_, cascading_stages);
-
-  auto account = [&](TimeMs now) {
-    busy_area += static_cast<double>(busy) * (now - last_event);
-    last_event = now;
-  };
-
-  // Reclaims warm instances idle past the keep-alive.
-  auto reap = [&](TimeMs now) {
-    auto it = warm.begin();
-    while (it != warm.end()) {
-      if (now - *it >= config_.keep_alive_ms) {
-        it = warm.erase(it);
-        --live;
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  // Marks `id` terminal and disarms its outstanding timeout.
-  auto finalize = [&](std::uint64_t id) {
-    ReqState& r = reqs[id];
-    r.phase = ReqState::Phase::kDone;
-    if (r.has_timeout_ev) {
-      events.cancel(r.timeout_ev);
-      r.has_timeout_ev = false;
-    }
-  };
-
-  auto end_request_span = [&](std::uint64_t id, TimeMs now) {
-    if (tracer) {
-      tracer->async_end_at("request", "sim", obs::kVirtualPid, request_track,
-                           now, rid(id));
-    }
-  };
-
-  // Pops the next still-live queued request, skipping tombstones left by
-  // timeouts (defensive: timeouts erase eagerly, so skips are rare).
-  auto take_queued = [&]() -> std::optional<std::uint64_t> {
-    while (!queue.empty()) {
-      const std::uint64_t id = queue.front();
-      queue.pop_front();
-      if (reqs[id].phase == ReqState::Phase::kQueued) return id;
-    }
-    return std::nullopt;
-  };
-
-  // Forward declarations: the recovery paths are mutually recursive
-  // (completion -> queued handoff -> service; crash -> retry -> start).
-  std::function<void(std::uint64_t, TimeMs)> start_request;
-  std::function<void(std::uint64_t, TimeMs, TimeMs)> begin_service;
-
-  // Handles one failed attempt at time `t`: schedules a capped-exponential
-  // backoff retry, or drops the request once attempts are exhausted.
-  auto fail_attempt = [&](std::uint64_t id, TimeMs t, TimeMs extra_delay) {
-    ReqState& r = reqs[id];
-    ++result.failed;
-    if (r.attempt < retry.max_attempts) {
-      ++result.retried;
-      if (retry_counter) retry_counter->inc();
-      const TimeMs backoff = injector.retry_backoff_ms(retry, r.attempt, id);
-      if (tracer) {
-        tracer->complete_at("retry.backoff", "fault", obs::kVirtualPid,
-                            request_track, t, extra_delay + backoff,
-                            {{"attempt", static_cast<double>(r.attempt)},
-                             {"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kRetryBackoff, rid(id), r.attempt, t,
-                         extra_delay + backoff);
-      }
-      ++r.attempt;
-      r.phase = ReqState::Phase::kBackoff;
-      r.pending_ev = events.schedule(
-          t + extra_delay + backoff,
-          [&, id] { start_request(id, events.now()); });
-    } else {
-      ++result.dropped;
-      if (recorder) {
-        recorder->record(obs::RecKind::kDrop, rid(id), r.attempt, t);
-      }
-      finalize(id);
-      end_request_span(id, t);
-    }
-  };
-
-  // Places `id` on an instance at `now` (startup = 0 for warm reuse) and
-  // schedules its completion — or its mid-execution crash.
-  begin_service = [&](std::uint64_t id, TimeMs now, TimeMs startup) {
-    ReqState& r = reqs[id];
-    r.phase = ReqState::Phase::kRunning;
-    ++busy;
-    TimeMs service = backend.run(run_rng).e2e_latency_ms;
-    if (injector.straggles(id, r.attempt)) {
-      service *= config_.faults.straggler_multiplier;
-      count_fault(FaultKind::kStraggler, id, r.attempt, now,
-                  config_.faults.straggler_multiplier);
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kServiceBegin, rid(id), r.attempt, now,
-                       service);
-    }
-    if (injector.crashes(id, r.attempt)) {
-      const TimeMs crash_at =
-          now + startup + service * config_.faults.crash_point;
-      r.pending_ev = events.schedule(crash_at, [&, id, crash_at] {
-        account(crash_at);
-        --busy;
-        --live;  // the crash takes the sandbox with it
-        count_fault(FaultKind::kCrash, id, reqs[id].attempt, crash_at);
-        fail_attempt(id, crash_at, 0.0);
-        // The crash freed a slot: a queued request can now cold-start.
-        if (const auto qid = take_queued()) {
-          note_queue_depth(crash_at);
-          start_request(*qid, crash_at);
-        }
-      });
-      return;
-    }
-    const TimeMs finish = now + startup + service;
-    r.pending_ev = events.schedule(finish, [&, id, finish] {
-      account(finish);
-      --busy;
-      const TimeMs latency = finish - reqs[id].arrival;
-      latencies.push_back(latency);
-      ++result.completed;
-      if (recorder) {
-        recorder->record(obs::RecKind::kComplete, rid(id),
-                         reqs[id].attempt, finish, latency);
-      }
-      finalize(id);
-      if (latency_hist) latency_hist->observe(latency);
-      end_request_span(id, finish);
-      if (const auto qid = take_queued()) {
-        note_queue_depth(finish);
-        // The finishing instance is handed to the queued request directly:
-        // it never visits the warm pool, so reap() cannot reclaim it out
-        // from under the handoff (the keep_alive_ms == 0 cold-start bug).
-        reap(finish);
-        begin_service(*qid, finish, 0.0);
-      } else {
-        warm.push_back(finish);
-      }
-    });
-  };
-
-  start_request = [&](std::uint64_t id, TimeMs now) {
-    account(now);
-    reap(now);
-    ++routed;
-    ReqState& r = reqs[id];
-    if (!warm.empty()) {
-      warm.pop_back();  // LIFO keeps hot instances hot
-      begin_service(id, now, 0.0);
-    } else if (live < max_instances) {
-      if (injector.cold_start_fails(id, r.attempt)) {
-        // The sandbox dies during boot: the boot time is still paid (it
-        // delays the retry) but no instance comes up.
-        count_fault(FaultKind::kColdStart, id, r.attempt, now, cold_penalty);
-        fail_attempt(id, now, cold_penalty);
-        return;
-      }
-      ++live;
-      result.peak_instances = std::max(result.peak_instances, live);
-      ++result.cold_starts;
-      if (cold_counter) cold_counter->inc();
-      if (tracer) {
-        tracer->instant_at("cluster.cold_start", "sim", obs::kVirtualPid,
-                           request_track, now,
-                           {{"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kColdStart, rid(id), r.attempt, now,
-                         cold_penalty);
-      }
-      begin_service(id, now, cold_penalty);
-    } else {
-      r.phase = ReqState::Phase::kQueued;
-      queue.push_back(id);
-      result.peak_queue = std::max(result.peak_queue, queue.size());
-      if (recorder) {
-        recorder->record(obs::RecKind::kQueue, rid(id), r.attempt, now,
-                         static_cast<double>(queue.size()));
-      }
-      note_queue_depth(now);
-    }
-  };
-
-  // Abandons `id` at its deadline, wherever it is.
-  auto on_timeout = [&](std::uint64_t id, TimeMs deadline) {
-    ReqState& r = reqs[id];
-    r.has_timeout_ev = false;
-    ++result.timed_out;
-    if (timeout_counter) timeout_counter->inc();
-    if (tracer) {
-      tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                         request_track, deadline,
-                         {{"request", static_cast<double>(rid(id))}});
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt, deadline);
-    }
-    switch (r.phase) {
-      case ReqState::Phase::kQueued: {
-        const auto it = std::find(queue.begin(), queue.end(), id);
-        if (it != queue.end()) queue.erase(it);
-        note_queue_depth(deadline);
-        break;
-      }
-      case ReqState::Phase::kRunning: {
-        // The platform aborts the handler but keeps the sandbox.
-        events.cancel(r.pending_ev);
-        account(deadline);
-        --busy;
-        if (const auto qid = take_queued()) {
-          note_queue_depth(deadline);
-          reap(deadline);
-          begin_service(*qid, deadline, 0.0);
-        } else {
-          warm.push_back(deadline);
-        }
-        break;
-      }
-      case ReqState::Phase::kBackoff:
-        events.cancel(r.pending_ev);
-        break;
-      default:
-        break;
-    }
-    r.phase = ReqState::Phase::kDone;
-    end_request_span(id, deadline);
-  };
-
-  for (std::size_t i = 0; i < arrival_times.size(); ++i) {
-    const TimeMs at = arrival_times[i];
-    const std::uint64_t id = i;
-    reqs[id].arrival = at;
-    events.schedule(at, [&, at, id] {
-      if (tracer) {
-        tracer->async_begin_at("request", "sim", obs::kVirtualPid,
-                               request_track, at, rid(id));
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kAdmit, rid(id), 1, at);
-      }
-      if (has_timeout) {
-        reqs[id].has_timeout_ev = true;
-        reqs[id].timeout_ev =
-            events.schedule(at + retry.timeout_ms, [&, id] {
-              on_timeout(id, events.now());
-            });
-      }
-      start_request(id, at);
-    });
-  }
-  events.run();
-
-  // One node entry so the reference result compares equal field-for-field
-  // to a one-node run of the typed loop.
-  result.node_results.resize(1);
-  result.node_results[0].routed = routed;
-  result.node_results[0].completed = result.completed;
-  result.node_results[0].cold_starts = result.cold_starts;
-  result.node_results[0].peak_queue = result.peak_queue;
-
-  if (!latencies.empty()) {
-    result.mean_ms = mean_of(latencies);
-    const Cdf cdf(latencies);  // one sort for all three quantiles
-    result.p50_ms = cdf.quantile(0.50);
-    result.p95_ms = cdf.quantile(0.95);
-    result.p99_ms = cdf.quantile(0.99);
-  }
-  // Streaming accumulator in completion order (deterministic: virtual
-  // time), merged across seeds by run_batch.
-  for (double latency : latencies) result.latency_stats.add(latency);
-  const TimeMs span = std::max(last_event, config_.horizon_ms);
-  result.achieved_rps =
-      span > 0.0 ? static_cast<double>(result.completed) / (span / 1000.0)
-                 : 0.0;
-  result.mean_busy_instances = span > 0.0 ? busy_area / span : 0.0;
-  if (metrics) {
-    metrics->gauge("cluster.peak_instances")
-        .set(static_cast<double>(result.peak_instances));
-  }
-  CHIRON_LOG(kDebug) << "cluster sim: " << result.completed << "/"
-                     << result.offered << " requests, "
-                     << result.cold_starts << " cold starts, "
-                     << result.failed << " faults, " << result.retried
-                     << " retries, " << result.timed_out << " timeouts, "
-                     << result.dropped << " drops, peak queue "
-                     << result.peak_queue;
   return result;
 }
 

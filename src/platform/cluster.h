@@ -120,8 +120,7 @@ struct ClusterResult {
   /// as mean/p50/p95/p99, fed in completion order. run_batch merges these
   /// across seeds via RunningStats::merge.
   RunningStats latency_stats;
-  /// Per-node breakdown: one entry per node (the single-node reference
-  /// loop reports exactly one).
+  /// Per-node breakdown: one entry per node (max(1, nodes) entries).
   std::vector<NodeResult> node_results;
 
   /// Exact (bitwise) equality over every field — the sweep determinism
@@ -165,6 +164,12 @@ struct ScenarioOutcome {
 TimeMs cold_start_penalty(const RuntimeParams& params,
                           std::size_t cascading_stages);
 
+/// Instances one node can host (at least one). Each resource dimension
+/// bounds capacity independently: a memory-only (or cpu-only) deployment
+/// is limited by its nonzero dimension alone.
+std::size_t node_capacity(const ResourceUsage& usage,
+                          const RuntimeParams& params);
+
 /// Discrete-event closed-loop simulator.
 class ClusterSimulator {
  public:
@@ -174,12 +179,6 @@ class ClusterSimulator {
   /// is the number of sequential cold-start fronts a scale-out pays
   /// (one-to-one: the workflow's stage count; wrap plans: 1).
   ClusterResult run(const Backend& backend, std::size_t cascading_stages) const;
-
-  /// run() through the retired closure-based serving loop (see
-  /// run_prepared_reference). Exists for parity tests and the
-  /// fast-vs-reference benches; new code should call run().
-  ClusterResult run_reference(const Backend& backend,
-                              std::size_t cascading_stages) const;
 
   /// Scenario-sweep engine: runs every spec under every seed (spec-major
   /// order) and fans the specs.size() * seeds.size() independent runs
@@ -197,8 +196,10 @@ class ClusterSimulator {
   /// Simulation core shared by run() and run_batch(): consumes
   /// pre-generated arrival times and a pre-minted request-id block, so
   /// batch runs can mint deterministically before fanning out (and parity
-  /// tests can drive both loops over byte-identical inputs — which is why
-  /// the prepared family is public).
+  /// tests can drive the engine and the model spec over byte-identical
+  /// inputs — which is why it is public). `arrival_times` must be
+  /// nondecreasing, as ArrivalGenerator::generate returns them; otherwise
+  /// it throws std::invalid_argument.
   ///
   /// This is the one serving engine, for every node count: a sequential,
   /// switch-dispatched POD event stream over a slab-backed
@@ -206,25 +207,13 @@ class ClusterSimulator {
   /// Every node owns its own capacity, warm-instance ring, and waiting
   /// queue; each dispatch is placed by the configured Router against
   /// live per-node state, and service times come from one Rng stream in
-  /// event order. At nodes == 1 it is bit-identical to
-  /// run_prepared_reference (asserted by ClusterParityTest). Parallelism
-  /// lives across runs, in run_batch.
+  /// event order. At every node count it is bit-identical to the
+  /// sequential model spec of tests/support/cluster_spec.h (asserted by
+  /// ClusterSpecParityTest). Parallelism lives across runs, in run_batch.
   ClusterResult run_prepared(const Backend& backend,
                              std::size_t cascading_stages,
                              const std::vector<TimeMs>& arrival_times,
                              std::uint64_t id_base) const;
-
-  /// The retired per-request-closure serving loop, kept as the parity
-  /// oracle (the run_slow_reference pattern of the interleave kernels).
-  /// It models a single node: config.nodes, config.router and
-  /// faults.node_crash are ignored. ClusterParityTest asserts that
-  /// run_prepared at nodes == 1 produces bit-identical ClusterResults
-  /// across randomized configs, and bench_micro_cluster measures the
-  /// typed loop's speedup against it.
-  ClusterResult run_prepared_reference(const Backend& backend,
-                                       std::size_t cascading_stages,
-                                       const std::vector<TimeMs>& arrival_times,
-                                       std::uint64_t id_base) const;
 
  private:
   ClusterConfig config_;

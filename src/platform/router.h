@@ -11,8 +11,8 @@
 //
 // pick() is allocation-free and draws only from the router's private Rng
 // stream, so enabling a randomized policy never perturbs the simulation's
-// service-time draws — a nodes=1 run stays bit-identical to the
-// single-node reference loop no matter which policy is configured.
+// service-time draws; at one node every policy picks node 0 without a
+// draw, so a nodes=1 run is the same whichever policy is configured.
 #pragma once
 
 #include <cstddef>

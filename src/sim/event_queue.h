@@ -1,9 +1,10 @@
 // A minimal deterministic discrete-event engine in two flavours:
 //
 //  * EventQueue — time-ordered std::function callbacks with FIFO
-//    tie-breaking and cancellation handles. Convenient for examples and
-//    custom experiments, but every schedule() heap-allocates the closure
-//    and cancellation maintains two hash sets.
+//    tie-breaking and cancellation handles. Convenient for examples,
+//    custom experiments and the serving model's test spec, but every
+//    schedule() heap-allocates the closure and cancellation maintains
+//    two hash sets.
 //
 //  * TypedEventQueue<Event> — the serving-loop hot path. Events are POD
 //    payloads in a free-listed slot arena; the heap holds {time, seq,
@@ -16,7 +17,7 @@
 //
 // Both orders events by (time, seq): same-time events run in schedule
 // (FIFO) order, so two engines issuing identical schedule sequences pop
-// identical event sequences — the foundation of the fast-vs-reference
+// identical event sequences — the foundation of the engine-vs-spec
 // bit-identical parity tests.
 #pragma once
 
@@ -123,7 +124,7 @@ class TypedEventQueue {
   /// Mints the next sequence number without scheduling anything. Drivers
   /// that keep a side stream of events outside the heap (e.g. the cluster
   /// loop's ring of constant-delay timeouts) stamp each side event with a
-  /// minted seq at the point the reference implementation would have
+  /// minted seq at the point a single-queue implementation would have
   /// called schedule(); merging both streams by (time, seq) then replays
   /// the exact single-queue order, ties included.
   std::uint64_t mint_seq() { return next_seq_++; }

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+
+#include "obs/fault_schema.h"
+#include "obs/metrics.h"
+#include "platform/backend.h"
 
 namespace chiron {
 namespace {
@@ -166,6 +171,50 @@ TEST(FaultKindTest, NamesAreStable) {
   EXPECT_STREQ(to_string(FaultKind::kStraggler), "straggler");
   EXPECT_STREQ(to_string(FaultKind::kTransfer), "transfer");
   EXPECT_STREQ(to_string(FaultKind::kNodeCrash), "node_crash");
+}
+
+TEST(FaultKindTest, ObservabilitySchemaIsPinned) {
+  // Every reporter reads one table; its names are the ones dashboards and
+  // recorder dumps already carry, so they must not drift.
+  struct Expected {
+    FaultKind kind;
+    obs::RecKind rec;
+  };
+  const Expected expected[] = {
+      {FaultKind::kColdStart, obs::RecKind::kFaultColdStart},
+      {FaultKind::kCrash, obs::RecKind::kFaultCrash},
+      {FaultKind::kStraggler, obs::RecKind::kFaultStraggler},
+      {FaultKind::kTransfer, obs::RecKind::kFaultTransfer},
+      {FaultKind::kRetryJitter, obs::RecKind::kMark},  // never reported
+      {FaultKind::kNodeCrash, obs::RecKind::kNodeCrash},
+  };
+  ASSERT_EQ(std::size(expected), obs::kFaultKindSchema.size());
+  EXPECT_STREQ(obs::kFaultCounter, "chiron.fault.injected");
+  for (const Expected& e : expected) {
+    const std::string name = to_string(e.kind);
+    SCOPED_TRACE(name);
+    const obs::FaultKindSchema& schema = obs::fault_schema(e.kind);
+    EXPECT_EQ(std::string(schema.counter), "chiron.fault.injected." + name);
+    EXPECT_EQ(std::string(schema.label), "fault." + name);
+    EXPECT_EQ(schema.rec, e.rec);
+  }
+  EXPECT_STREQ(obs::to_string(obs::RecKind::kFaultColdStart),
+               "fault.cold_start");
+}
+
+TEST(FaultKindTest, BackendFaultsCountUnderTheirKind) {
+  obs::MetricsRegistry& global = obs::MetricsRegistry::global();
+  for (std::size_t k = 0; k < obs::kFaultKindSchema.size(); ++k) {
+    const FaultKind kind = static_cast<FaultKind>(k);
+    SCOPED_TRACE(to_string(kind));
+    const std::int64_t total = global.counter("chiron.fault.injected").value();
+    const std::string name =
+        std::string("chiron.fault.injected.") + to_string(kind);
+    const std::int64_t per_kind = global.counter(name).value();
+    note_backend_fault(kind);
+    EXPECT_EQ(global.counter("chiron.fault.injected").value(), total + 1);
+    EXPECT_EQ(global.counter(name).value(), per_kind + 1);
+  }
 }
 
 TEST(FaultSpecTest, NodeCrashParsesEnablesAndRoundTrips) {

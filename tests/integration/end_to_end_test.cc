@@ -7,18 +7,13 @@
 #include "metrics/stats.h"
 #include "platform/plan_backend.h"
 #include "platform/systems.h"
+#include "support/quiet_options.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
 namespace {
 
-SystemOptions quiet_options() {
-  SystemOptions opts;
-  opts.noise.jitter_sigma = 0.0;
-  opts.noise.thread_contention = 0.0;
-  opts.noise.run_sigma = 0.0;
-  return opts;
-}
+using testsupport::quiet_options;
 
 TEST(EndToEndTest, DeployAndSimulateEveryWorkflow) {
   const SystemOptions opts = quiet_options();

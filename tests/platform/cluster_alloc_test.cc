@@ -4,9 +4,8 @@
 // warm-pool rings, the latency buffer — is reserved up front, so the
 // per-run allocation count is a small constant that does NOT grow with
 // the number of requests served (a scoped operator-new counter proves
-// it). The retired closure loop, by contrast, allocates at least one
-// std::function per scheduled event. With a real backend the same holds
-// for the loop's side; the backend's own allocations are bounded per call
+// it). With a real backend the same holds for the loop's side; the
+// backend's own allocations are bounded per call
 // (PlanBackendAllocationTest), not zero, because each RunResult owns its
 // per-function span vectors.
 #include <gtest/gtest.h>
@@ -20,31 +19,19 @@
 #include "platform/cluster.h"
 #include "platform/systems.h"
 #include "support/alloc_counter.h"
+#include "support/constant_backend.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
 namespace {
 
-/// Constant-latency backend whose run() never touches the heap, so every
-/// counted allocation is the serving loop's own.
-class PodBackend : public Backend {
- public:
-  explicit PodBackend(TimeMs latency) : latency_(latency) {
-    usage_.cpus = 8.0;  // small fleet => queueing, handoffs, timeouts
-    usage_.memory_mb = 0.0;
-  }
-  std::string name() const override { return "pod"; }
-  RunResult run(Rng&) const override {
-    RunResult r;
-    r.e2e_latency_ms = latency_;
-    return r;
-  }
-  ResourceUsage resources() const override { return usage_; }
-
- private:
-  TimeMs latency_;
-  ResourceUsage usage_;
-};
+/// Constant 35 ms requests on a small fleet (8 CPUs each): queueing,
+/// handoffs and timeouts all happen.
+testsupport::ConstantBackend pod_backend() {
+  ResourceUsage usage;
+  usage.cpus = 8.0;
+  return testsupport::ConstantBackend(35.0, usage);
+}
 
 /// High-churn configuration: faults, retries, and timeouts all armed, so
 /// the counted window exercises every event kind (arrival, completion,
@@ -70,7 +57,7 @@ ClusterConfig churn_config(double offered_rps) {
 /// offered requests}.
 std::pair<std::uint64_t, std::size_t> count_run(double offered_rps) {
   const ClusterConfig config = churn_config(offered_rps);
-  const PodBackend backend(35.0);
+  const testsupport::ConstantBackend backend = pod_backend();
   const RuntimeParams params = RuntimeParams::defaults();
   Rng rng(config.seed);
   ArrivalGenerator gen(config.arrivals, config.offered_rps, rng.split());
@@ -98,7 +85,7 @@ std::pair<std::uint64_t, std::size_t> count_sharded_run(double offered_rps) {
   ClusterConfig config = churn_config(offered_rps);
   config.nodes = 4;
   config.router = RouterPolicy::kWarmAffinity;
-  const PodBackend backend(35.0);
+  const testsupport::ConstantBackend backend = pod_backend();
   const RuntimeParams params = RuntimeParams::defaults();
   Rng rng(config.seed);
   ArrivalGenerator gen(config.arrivals, config.offered_rps, rng.split());

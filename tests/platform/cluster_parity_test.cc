@@ -1,18 +1,28 @@
-// Parity oracle for the serving loop: at nodes == 1 the typed-event loop
-// (ClusterSimulator::run_prepared) must produce bit-identical
-// ClusterResults to the retired closure-based loop
-// (run_prepared_reference), whatever the router policy — same (time, seq)
-// FIFO event order means the same RNG draw sequence and the same float
-// arithmetic, so equality is exact, not approximate (the
-// run_slow_reference pattern the interleave kernels established).
+// Oracle and invariants for the one serving engine.
 //
-// The reference models a single node, so at nodes >= 2 there is no
-// oracle; ClusterInvariantTest instead requires every randomized run to
-// satisfy the model's conservation and accounting laws and to be exactly
-// reproducible. Its sweep draws the nasty edges: cold-start/crash storms
-// with retries re-routing across nodes, node crashes draining queues
-// through the router mid-run, tight timeouts racing retries, zero and
-// full retry jitter, and every router policy at 2, 8 and 32 nodes.
+// ClusterSpecParityTest: ClusterSimulator::run_prepared must return
+// exactly the ClusterResult of the sequential model spec
+// (tests/support/cluster_spec.h) on the same inputs — every field
+// compared bitwise, node_results included — at 1, 2, 8 and 32 nodes
+// under every router policy, with cold-start/crash storms, node crashes
+// re-routing queues mid-run, retries with zero, full and partial jitter,
+// and tight timeouts. The spec follows the model's Rng order and
+// accounting points but shares none of the engine's data structures (the
+// lazy arrival merge, the timeout ring, the tombstoned rings, the slab
+// event queue), so the sweeps check those structures against a plain
+// rendering of the model. Each engine run also feeds a metrics registry
+// and the flight recorder, which must not perturb it, and must satisfy
+// check_cluster_invariants.
+//
+// Conservation is exact only when a deadline is armed: without one, a
+// request stranded in a queue ends the run with no terminal state, in
+// the engine and the spec alike (neither may "fix" it alone).
+//
+// ClusterParityTest: the same spec check over the single-node draw
+// space that predates sharding, plus run() against run_prepared.
+//
+// ClusterInvariantTest: randomized multi-node runs satisfy the run
+// invariants and are exactly reproducible.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,42 +32,66 @@
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "platform/cluster.h"
 #include "platform/systems.h"
+#include "support/cluster_invariants.h"
+#include "support/cluster_spec.h"
+#include "support/constant_backend.h"
+#include "support/quiet_options.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
 namespace {
 
-SystemOptions quiet_options() {
-  SystemOptions opts;
-  opts.noise.jitter_sigma = 0.0;
-  opts.noise.thread_contention = 0.0;
-  opts.noise.run_sigma = 0.0;
-  return opts;
-}
+using testsupport::check_cluster_invariants;
+using testsupport::quiet_options;
+using testsupport::serve_spec;
 
-/// Allocation-free constant-latency backend with configurable resources —
-/// lets the parity sweep hit zero-capacity and memory-only edges.
-class PodBackend : public Backend {
+/// The four backends every sweep cycles through: Faastlane serving SLApp,
+/// tiny capacity (forces deep queues), memory-only capacity, and the
+/// zero-resource degenerate that clamps to one instance per node.
+class SweepBackends {
  public:
-  PodBackend(TimeMs latency, ResourceUsage usage)
-      : latency_(latency), usage_(usage) {}
-  std::string name() const override { return "pod"; }
-  RunResult run(Rng&) const override {
-    RunResult r;
-    r.e2e_latency_ms = latency_;
-    return r;
+  explicit SweepBackends(const SystemOptions& opts)
+      : system_(make_system("Faastlane", make_slapp(), opts)),
+        tiny_capacity_(45.0, half_node(opts.params)),
+        memory_bound_(25.0, third_of_memory(opts.params)),
+        zero_capacity_(10.0, ResourceUsage{}) {}
+
+  const Backend& operator[](int i) const {
+    const Backend* backends[] = {system_.get(), &tiny_capacity_,
+                                 &memory_bound_, &zero_capacity_};
+    return *backends[i % 4];
   }
-  ResourceUsage resources() const override { return usage_; }
 
  private:
-  TimeMs latency_;
-  ResourceUsage usage_;
+  static ResourceUsage half_node(const RuntimeParams& params) {
+    ResourceUsage usage;
+    usage.cpus = static_cast<double>(params.node_cpus) / 2.0;
+    usage.memory_mb = params.node_memory_mb / 2.0;
+    return usage;
+  }
+  static ResourceUsage third_of_memory(const RuntimeParams& params) {
+    ResourceUsage usage;
+    usage.cpus = 0.0;
+    usage.memory_mb = params.node_memory_mb / 3.0;
+    return usage;
+  }
+
+  std::unique_ptr<Backend> system_;
+  testsupport::ConstantBackend tiny_capacity_;
+  testsupport::ConstantBackend memory_bound_;
+  testsupport::ConstantBackend zero_capacity_;
 };
 
+constexpr RouterPolicy kPolicies[] = {
+    RouterPolicy::kRoundRobin, RouterPolicy::kRandom,
+    RouterPolicy::kLeastOutstanding, RouterPolicy::kPowerOfTwo,
+    RouterPolicy::kWarmAffinity};
+
 /// Pre-generates the arrival process exactly as ClusterSimulator::run()
-/// does, so both loops consume byte-identical inputs (and the same
+/// does, so engine and spec consume byte-identical inputs (and the same
 /// request-id base, which ClusterResult::operator== compares).
 std::vector<TimeMs> arrivals_for(const ClusterConfig& config) {
   Rng rng(config.seed);
@@ -65,191 +99,11 @@ std::vector<TimeMs> arrivals_for(const ClusterConfig& config) {
   return arrivals.generate(config.horizon_ms);
 }
 
-/// Draws one randomized cluster/fault/retry/timeout configuration. The
-/// draw space deliberately includes the nasty edges: keep_alive == 0
-/// (instant reaping), tight timeouts (deep-queue abandonment), crash and
+/// One randomized cluster/fault/retry/timeout configuration, always
+/// sharded, with node crashes armed in half of the faulted runs. The draw
+/// space deliberately includes the nasty edges: keep_alive == 0 (instant
+/// reaping), tight timeouts (deep-queue abandonment), crash and
 /// cold-start storms, and retry exhaustion.
-ClusterConfig random_config(Rng& rng, std::uint64_t case_seed) {
-  ClusterConfig config;  // one node: the reference's model
-  config.horizon_ms = 1500.0 + rng.uniform(0.0, 2000.0);
-  config.offered_rps = 5.0 + rng.uniform(0.0, 120.0);
-  const TimeMs keep_alive_choices[] = {0.0, 5.0, 200.0, 10000.0};
-  config.keep_alive_ms = keep_alive_choices[rng.below(4)];
-  const ArrivalKind kinds[] = {ArrivalKind::kPoisson, ArrivalKind::kUniform,
-                               ArrivalKind::kBurst};
-  config.arrivals = kinds[rng.below(3)];
-  config.seed = case_seed;
-  if (rng.below(4) != 0) {  // 3 in 4 runs are faulted
-    config.faults.cold_start_failure = rng.uniform(0.0, 0.3);
-    config.faults.crash = rng.uniform(0.0, 0.3);
-    config.faults.crash_point = rng.uniform(0.1, 0.9);
-    config.faults.straggler = rng.uniform(0.0, 0.3);
-    config.faults.straggler_multiplier = rng.uniform(2.0, 8.0);
-    config.faults.seed = rng();
-  }
-  config.retry.max_attempts = 1 + static_cast<std::uint32_t>(rng.below(4));
-  if (rng.below(2) != 0) {
-    config.retry.timeout_ms = rng.uniform(100.0, 1500.0);
-  }
-  return config;
-}
-
-/// One randomized parity sweep: {meta seed, first case seed, cases,
-/// first request-id base}.
-struct Sweep {
-  std::uint64_t meta_seed;
-  std::uint64_t case_seed;
-  int cases;
-  std::uint64_t id_base;
-};
-
-/// Runs `sweep` through the typed-event loop and the closure-based
-/// reference on the same inputs, requiring exact equality, and returns
-/// how many cases admitted any request.
-int run_parity_sweep(const Sweep& sweep) {
-  const SystemOptions opts = quiet_options();
-  const Workflow wf = make_slapp();
-  const auto system_backend = make_system("Faastlane", wf, opts);
-  // Edge backends: tiny capacity (forces deep queues), memory-only
-  // capacity, and the zero-resource degenerate that clamps to one
-  // instance.
-  const RuntimeParams& params = opts.params;
-  ResourceUsage fat;
-  fat.cpus = static_cast<double>(params.node_cpus) / 2.0;
-  fat.memory_mb = params.node_memory_mb / 2.0;
-  ResourceUsage memory_only;
-  memory_only.cpus = 0.0;
-  memory_only.memory_mb = params.node_memory_mb / 3.0;
-  const PodBackend tiny_capacity(45.0, fat);
-  const PodBackend memory_bound(25.0, memory_only);
-  const PodBackend zero_capacity(10.0, ResourceUsage{});
-  const Backend* backends[] = {system_backend.get(), &tiny_capacity,
-                               &memory_bound, &zero_capacity};
-  // At n == 1 every policy returns node 0 without touching its
-  // (separately split) Rng stream, so the policy must not matter.
-  const RouterPolicy policies[] = {
-      RouterPolicy::kRoundRobin, RouterPolicy::kRandom,
-      RouterPolicy::kLeastOutstanding, RouterPolicy::kPowerOfTwo,
-      RouterPolicy::kWarmAffinity};
-
-  Rng meta(sweep.meta_seed);
-  int nonempty = 0;
-  for (int i = 0; i < sweep.cases; ++i) {
-    SCOPED_TRACE("randomized case " + std::to_string(sweep.case_seed + i));
-    ClusterConfig config = random_config(meta, sweep.case_seed + i);
-    config.router = policies[i % 5];
-    const Backend& backend = *backends[i % 4];
-    const std::size_t stages = 1 + (i % 3);
-    const std::vector<TimeMs> arrivals = arrivals_for(config);
-    const std::uint64_t id_base =
-        sweep.id_base + static_cast<std::uint64_t>(i);
-
-    const ClusterSimulator sim(config, params);
-    const ClusterResult fast =
-        sim.run_prepared(backend, stages, arrivals, id_base);
-    const ClusterResult reference =
-        sim.run_prepared_reference(backend, stages, arrivals, id_base);
-    EXPECT_EQ(fast, reference);  // exact: every field, bitwise
-    EXPECT_EQ(fast.node_results.size(), 1u);
-    // Terminal counts never exceed admissions. (Not exact conservation:
-    // with no timeout configured, requests still queued when the last
-    // instance drops its final retry strand without a terminal count —
-    // a semantic both loops share, inherited from the closure-era loop.)
-    EXPECT_LE(fast.completed + fast.timed_out + fast.dropped, fast.offered);
-    if (fast.offered > 0) ++nonempty;
-  }
-  return nonempty;
-}
-
-TEST(ClusterParityTest, FastLoopIsBitIdenticalAcrossRandomizedConfigs) {
-  // The sweep actually exercised the loop.
-  EXPECT_GT(run_parity_sweep({0x5EED5EED, 0xC0FFEE00, 60, 1000}), 50);
-}
-
-TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToPooled) {
-  // The per-node (sharded) loop with one node must be the single-pool
-  // model, exactly. The pooled loop this was once checked against is now
-  // run_prepared itself, so the oracle is the reference it was checked
-  // against in turn; an independent sweep cycles every router policy.
-  EXPECT_GT(run_parity_sweep({0x0DDC0DE, 0xBEEF00, 40, 5000}), 35);
-}
-
-TEST(ClusterParityTest, MetricsAgreeBetweenLoops) {
-  // The typed loop resolves per-kind fault counters once before the
-  // loop; the reference builds the registry key per event. Same totals
-  // must land in the registry either way.
-  const SystemOptions opts = quiet_options();
-  const Workflow wf = make_slapp();
-  const auto backend = make_system("Faastlane", wf, opts);
-  ClusterConfig config;
-  config.horizon_ms = 5000.0;
-  config.offered_rps = 40.0;
-  config.faults.cold_start_failure = 0.1;
-  config.faults.crash = 0.15;
-  config.faults.straggler = 0.12;
-  config.faults.seed = 99;
-  config.retry.max_attempts = 3;
-  config.retry.timeout_ms = 1200.0;
-  const std::vector<TimeMs> arrivals = arrivals_for(config);
-
-  obs::MetricsRegistry fast_metrics;
-  obs::MetricsRegistry ref_metrics;
-  ClusterConfig fast_config = config;
-  fast_config.metrics = &fast_metrics;
-  ClusterConfig ref_config = config;
-  ref_config.metrics = &ref_metrics;
-
-  const ClusterResult fast =
-      ClusterSimulator(fast_config, opts.params)
-          .run_prepared(*backend, 1, arrivals, 7);
-  const ClusterResult reference =
-      ClusterSimulator(ref_config, opts.params)
-          .run_prepared_reference(*backend, 1, arrivals, 7);
-  EXPECT_EQ(fast, reference);
-  ASSERT_GT(fast.failed, 0u);
-
-  for (const char* name :
-       {"chiron.fault.injected", "chiron.fault.injected.cold_start",
-        "chiron.fault.injected.crash", "chiron.fault.injected.straggler",
-        "chiron.retry.attempts", "chiron.request.timeout",
-        "cluster.cold_starts"}) {
-    EXPECT_EQ(fast_metrics.counter(name).value(),
-              ref_metrics.counter(name).value())
-        << name;
-  }
-  EXPECT_DOUBLE_EQ(fast_metrics.gauge("cluster.queue_depth").high_water(),
-                   ref_metrics.gauge("cluster.queue_depth").high_water());
-  EXPECT_DOUBLE_EQ(fast_metrics.gauge("cluster.queue_depth").high_water(),
-                   static_cast<double>(fast.peak_queue));
-}
-
-TEST(ClusterParityTest, PublicRunMatchesPreparedFastLoop) {
-  // run() is a thin wrapper over run_prepared: same config, same arrivals
-  // recipe — everything but the process-global id base must agree.
-  const SystemOptions opts = quiet_options();
-  const Workflow wf = make_slapp();
-  const auto backend = make_system("Faastlane", wf, opts);
-  ClusterConfig config;
-  config.nodes = 2;
-  config.horizon_ms = 4000.0;
-  config.offered_rps = 30.0;
-  config.faults.crash = 0.1;
-  config.retry.max_attempts = 2;
-  config.retry.timeout_ms = 900.0;
-  const ClusterSimulator sim(config, opts.params);
-  ClusterResult via_run = sim.run(*backend, 1);
-  ClusterResult prepared =
-      sim.run_prepared(*backend, 1, arrivals_for(config), via_run.request_id_base);
-  EXPECT_EQ(via_run, prepared);
-  // And run_reference() wraps the reference loop the same way.
-  ClusterResult via_ref = sim.run_reference(*backend, 1);
-  ClusterResult prepared_ref = sim.run_prepared_reference(
-      *backend, 1, arrivals_for(config), via_ref.request_id_base);
-  EXPECT_EQ(via_ref, prepared_ref);
-}
-
-/// One randomized multi-node configuration: always sharded, with node
-/// crashes armed in half of the faulted runs.
 ClusterConfig random_multi_node_config(Rng& rng, std::uint64_t case_seed) {
   ClusterConfig config;
   const std::size_t node_choices[] = {2, 8, 32};
@@ -286,49 +140,211 @@ ClusterConfig random_multi_node_config(Rng& rng, std::uint64_t case_seed) {
   return config;
 }
 
-TEST(ClusterInvariantTest, MultiNodeRunsConserveRequestsAndAreDeterministic) {
-  const SystemOptions opts = quiet_options();
-  const Workflow wf = make_slapp();
-  const auto system_backend = make_system("Faastlane", wf, opts);
-  const RuntimeParams& params = opts.params;
-  ResourceUsage fat;
-  fat.cpus = static_cast<double>(params.node_cpus) / 2.0;
-  fat.memory_mb = params.node_memory_mb / 2.0;
-  ResourceUsage memory_only;
-  memory_only.cpus = 0.0;
-  memory_only.memory_mb = params.node_memory_mb / 3.0;
-  const PodBackend tiny_capacity(45.0, fat);
-  const PodBackend memory_bound(25.0, memory_only);
-  const PodBackend zero_capacity(10.0, ResourceUsage{});
-  const Backend* backends[] = {system_backend.get(), &tiny_capacity,
-                               &memory_bound, &zero_capacity};
-  const RouterPolicy policies[] = {
-      RouterPolicy::kRoundRobin, RouterPolicy::kRandom,
-      RouterPolicy::kLeastOutstanding, RouterPolicy::kPowerOfTwo,
-      RouterPolicy::kWarmAffinity};
-
-  Rng meta(0x9A7A11E1);
+/// What a sweep's runs exercised.
+struct Coverage {
   int nonempty = 0;
   int with_node_crashes = 0;
   int with_retries = 0;
   int with_timeouts = 0;
+
+  void add(const ClusterResult& r) {
+    if (r.offered > 0) ++nonempty;
+    if (r.node_crashes > 0) ++with_node_crashes;
+    if (r.retried > 0) ++with_retries;
+    if (r.timed_out > 0) ++with_timeouts;
+  }
+};
+
+/// A recorder large enough to hold every event of one sweep run.
+std::unique_ptr<obs::FlightRecorder> sweep_recorder() {
+  auto recorder = std::make_unique<obs::FlightRecorder>(1 << 19);
+  recorder->set_enabled(true);
+  return recorder;
+}
+
+/// Runs the engine, observed by a fresh metrics registry and `recorder`,
+/// and the spec on the same inputs; requires exact equality and the run
+/// invariants, and returns the engine's result.
+ClusterResult expect_engine_matches_spec(const ClusterConfig& config,
+                                         const RuntimeParams& params,
+                                         const Backend& backend,
+                                         std::size_t stages,
+                                         std::uint64_t id_base,
+                                         obs::FlightRecorder& recorder) {
+  const std::vector<TimeMs> arrivals = arrivals_for(config);
+  obs::MetricsRegistry metrics;
+  recorder.clear();
+  ClusterConfig observed = config;
+  observed.metrics = &metrics;
+  observed.recorder = &recorder;
+  const ClusterResult engine = ClusterSimulator(observed, params)
+                                   .run_prepared(backend, stages, arrivals,
+                                                 id_base);
+  EXPECT_EQ(engine,
+            serve_spec(config, params, backend, stages, arrivals, id_base));
+  check_cluster_invariants(engine, observed,
+                           node_capacity(backend.resources(), params));
+  return engine;
+}
+
+/// `cases` draws of random_multi_node_config pinned to `nodes` nodes, each
+/// run under all five router policies.
+Coverage run_node_sweep(std::size_t nodes, std::uint64_t meta_seed,
+                        int cases) {
+  const SystemOptions opts = quiet_options();
+  const SweepBackends backends(opts);
+  const auto recorder = sweep_recorder();
+  Rng meta(meta_seed);
+  Coverage coverage;
+  for (int i = 0; i < cases; ++i) {
+    SCOPED_TRACE("randomized case " + std::to_string(i));
+    ClusterConfig config = random_multi_node_config(meta, meta_seed + i);
+    config.nodes = nodes;
+    const std::uint64_t id_base = 1000 * static_cast<std::uint64_t>(i + 1);
+    for (const RouterPolicy policy : kPolicies) {
+      SCOPED_TRACE(std::string("policy ") + to_string(policy));
+      config.router = policy;
+      coverage.add(expect_engine_matches_spec(config, opts.params,
+                                              backends[i], 1 + (i % 3),
+                                              id_base, *recorder));
+    }
+  }
+  return coverage;
+}
+
+// 40 draws x 5 policies = 200 runs per node count; the floors show each
+// sweep reached every recovery path.
+void expect_full_coverage(const Coverage& c) {
+  EXPECT_GT(c.nonempty, 180);
+  EXPECT_GT(c.with_node_crashes, 25);
+  EXPECT_GT(c.with_retries, 60);
+  EXPECT_GT(c.with_timeouts, 25);
+}
+
+TEST(ClusterSpecParityTest, OneNode) {
+  expect_full_coverage(run_node_sweep(1, 0x5BEC0001, 40));
+}
+
+TEST(ClusterSpecParityTest, TwoNodes) {
+  expect_full_coverage(run_node_sweep(2, 0x5BEC0002, 40));
+}
+
+TEST(ClusterSpecParityTest, EightNodes) {
+  expect_full_coverage(run_node_sweep(8, 0x5BEC0008, 40));
+}
+
+TEST(ClusterSpecParityTest, ThirtyTwoNodes) {
+  expect_full_coverage(run_node_sweep(32, 0x5BEC0020, 40));
+}
+
+/// One randomized single-node configuration (the pre-sharding draw
+/// space: no node crashes, default retry jitter).
+ClusterConfig random_single_node_config(Rng& rng, std::uint64_t case_seed) {
+  ClusterConfig config;
+  config.horizon_ms = 1500.0 + rng.uniform(0.0, 2000.0);
+  config.offered_rps = 5.0 + rng.uniform(0.0, 120.0);
+  const TimeMs keep_alive_choices[] = {0.0, 5.0, 200.0, 10000.0};
+  config.keep_alive_ms = keep_alive_choices[rng.below(4)];
+  const ArrivalKind kinds[] = {ArrivalKind::kPoisson, ArrivalKind::kUniform,
+                               ArrivalKind::kBurst};
+  config.arrivals = kinds[rng.below(3)];
+  config.seed = case_seed;
+  if (rng.below(4) != 0) {  // 3 in 4 runs are faulted
+    config.faults.cold_start_failure = rng.uniform(0.0, 0.3);
+    config.faults.crash = rng.uniform(0.0, 0.3);
+    config.faults.crash_point = rng.uniform(0.1, 0.9);
+    config.faults.straggler = rng.uniform(0.0, 0.3);
+    config.faults.straggler_multiplier = rng.uniform(2.0, 8.0);
+    config.faults.seed = rng();
+  }
+  config.retry.max_attempts = 1 + static_cast<std::uint32_t>(rng.below(4));
+  if (rng.below(2) != 0) {
+    config.retry.timeout_ms = rng.uniform(100.0, 1500.0);
+  }
+  return config;
+}
+
+/// `cases` single-node draws, the router policy cycling per case, each
+/// checked against the spec; returns how many admitted any request.
+int run_single_node_sweep(std::uint64_t meta_seed, std::uint64_t case_seed,
+                          int cases, std::uint64_t id_base) {
+  const SystemOptions opts = quiet_options();
+  const SweepBackends backends(opts);
+  const auto recorder = sweep_recorder();
+  Rng meta(meta_seed);
+  int nonempty = 0;
+  for (int i = 0; i < cases; ++i) {
+    SCOPED_TRACE("randomized case " + std::to_string(case_seed + i));
+    ClusterConfig config = random_single_node_config(meta, case_seed + i);
+    config.router = kPolicies[i % 5];
+    const ClusterResult r = expect_engine_matches_spec(
+        config, opts.params, backends[i], 1 + (i % 3),
+        id_base + static_cast<std::uint64_t>(i), *recorder);
+    EXPECT_EQ(r.node_results.size(), 1u);
+    if (r.offered > 0) ++nonempty;
+  }
+  return nonempty;
+}
+
+TEST(ClusterParityTest, FastLoopIsBitIdenticalAcrossRandomizedConfigs) {
+  // The sweep actually exercised the loop.
+  EXPECT_GT(run_single_node_sweep(0x5EED5EED, 0xC0FFEE00, 60, 1000), 50);
+}
+
+TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToPooled) {
+  // The sharded loop with one node must be the single-pool model exactly;
+  // at n == 1 every policy returns node 0 without touching its Rng
+  // stream, so the policy must not matter.
+  EXPECT_GT(run_single_node_sweep(0x0DDC0DE, 0xBEEF00, 40, 5000), 35);
+}
+
+TEST(ClusterParityTest, PublicRunMatchesPreparedFastLoop) {
+  // run() is a thin wrapper over run_prepared: same config, same arrivals
+  // recipe — everything but the process-global id base must agree.
+  const SystemOptions opts = quiet_options();
+  const Workflow wf = make_slapp();
+  const auto backend = make_system("Faastlane", wf, opts);
+  ClusterConfig config;
+  config.nodes = 2;
+  config.horizon_ms = 4000.0;
+  config.offered_rps = 30.0;
+  config.faults.crash = 0.1;
+  config.retry.max_attempts = 2;
+  config.retry.timeout_ms = 900.0;
+  const ClusterSimulator sim(config, opts.params);
+  ClusterResult via_run = sim.run(*backend, 1);
+  ClusterResult prepared =
+      sim.run_prepared(*backend, 1, arrivals_for(config), via_run.request_id_base);
+  EXPECT_EQ(via_run, prepared);
+}
+
+TEST(ClusterInvariantTest, MultiNodeRunsConserveRequestsAndAreDeterministic) {
+  const SystemOptions opts = quiet_options();
+  const SweepBackends backends(opts);
+  const RuntimeParams& params = opts.params;
+  const auto recorder = sweep_recorder();
+
+  Rng meta(0x9A7A11E1);
+  Coverage coverage;
   for (int i = 0; i < 36; ++i) {
     SCOPED_TRACE("randomized case " + std::to_string(i));
     const ClusterConfig draw = random_multi_node_config(meta, 0xFA57EE00 + i);
-    const Backend& backend = *backends[i % 4];
+    const Backend& backend = backends[i];
     const std::size_t stages = 1 + (i % 3);
     const std::vector<TimeMs> arrivals = arrivals_for(draw);
     const std::uint64_t id_base = 90000 + 1000 * static_cast<std::uint64_t>(i);
-    for (const RouterPolicy policy : policies) {
+    for (const RouterPolicy policy : kPolicies) {
       SCOPED_TRACE(std::string("policy ") + to_string(policy) + ", " +
                    std::to_string(draw.nodes) + " nodes");
       ClusterConfig config = draw;
       config.router = policy;
-      // The first run also feeds a metrics registry; observability sinks
-      // must not perturb the result.
+      // The first run also feeds a metrics registry and the recorder;
+      // observability sinks must not perturb the result.
       obs::MetricsRegistry metrics;
+      recorder->clear();
       ClusterConfig observed = config;
       observed.metrics = &metrics;
+      observed.recorder = recorder.get();
       const ClusterResult r = ClusterSimulator(observed, params)
                                   .run_prepared(backend, stages, arrivals,
                                                 id_base);
@@ -336,56 +352,16 @@ TEST(ClusterInvariantTest, MultiNodeRunsConserveRequestsAndAreDeterministic) {
                                       .run_prepared(backend, stages, arrivals,
                                                     id_base);
       EXPECT_EQ(r, again);  // exact: every field, incl. node_results
-
-      // Conservation. Exact whenever a deadline is armed; without one a
-      // request stranded in a queue may end the run without a terminal
-      // count (see ClusterParityTest).
-      EXPECT_LE(r.completed + r.timed_out + r.dropped, r.offered);
-      if (config.retry.timeout_ms > 0.0) {
-        EXPECT_EQ(r.completed + r.timed_out + r.dropped, r.offered);
-      }
-
-      // Per-node accounting: one entry per node, summing to the totals.
-      ASSERT_EQ(r.node_results.size(), config.nodes);
-      std::size_t completed = 0;
-      std::size_t cold_starts = 0;
-      std::size_t node_crashes = 0;
-      for (const NodeResult& node : r.node_results) {
-        completed += node.completed;
-        cold_starts += node.cold_starts;
-        node_crashes += node.node_crashes;
-        EXPECT_LE(node.node_crashes, 1u);  // a node crashes at most once
-        EXPECT_LE(node.peak_queue, r.peak_queue);
-      }
-      EXPECT_EQ(completed, r.completed);
-      EXPECT_EQ(cold_starts, r.cold_starts);
-      EXPECT_EQ(node_crashes, r.node_crashes);
-      if (config.faults.node_crash == 0.0) {
-        EXPECT_EQ(r.node_crashes, 0u);
-      }
-
-      // The registry agrees with the result it was fed alongside.
-      auto count = [](std::size_t n) { return static_cast<std::int64_t>(n); };
-      EXPECT_EQ(metrics.counter("cluster.cold_starts").value(),
-                count(r.cold_starts));
-      EXPECT_EQ(metrics.counter("chiron.retry.attempts").value(),
-                count(r.retried));
-      EXPECT_EQ(metrics.counter("chiron.request.timeout").value(),
-                count(r.timed_out));
-      EXPECT_DOUBLE_EQ(metrics.gauge("cluster.queue_depth").high_water(),
-                       static_cast<double>(r.peak_queue));
-
-      if (r.offered > 0) ++nonempty;
-      if (r.node_crashes > 0) ++with_node_crashes;
-      if (r.retried > 0) ++with_retries;
-      if (r.timed_out > 0) ++with_timeouts;
+      check_cluster_invariants(r, observed,
+                               node_capacity(backend.resources(), params));
+      coverage.add(r);
     }
   }
   // The sweep actually exercised the loop and every recovery path.
-  EXPECT_GT(nonempty, 150);
-  EXPECT_GT(with_node_crashes, 20);
-  EXPECT_GT(with_retries, 50);
-  EXPECT_GT(with_timeouts, 20);
+  EXPECT_GT(coverage.nonempty, 150);
+  EXPECT_GT(coverage.with_node_crashes, 20);
+  EXPECT_GT(coverage.with_retries, 50);
+  EXPECT_GT(coverage.with_timeouts, 20);
 }
 
 }  // namespace

@@ -13,18 +13,13 @@
 #include "common/thread_pool.h"
 #include "platform/cluster.h"
 #include "platform/systems.h"
+#include "support/quiet_options.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
 namespace {
 
-SystemOptions quiet_options() {
-  SystemOptions opts;
-  opts.noise.jitter_sigma = 0.0;
-  opts.noise.thread_contention = 0.0;
-  opts.noise.run_sigma = 0.0;
-  return opts;
-}
+using testsupport::quiet_options;
 
 ClusterConfig sweep_config(double rps) {
   ClusterConfig config;

@@ -4,18 +4,13 @@
 
 #include <cmath>
 
+#include "support/quiet_options.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
 namespace {
 
-SystemOptions quiet_options() {
-  SystemOptions opts;
-  opts.noise.jitter_sigma = 0.0;
-  opts.noise.thread_contention = 0.0;
-  opts.noise.run_sigma = 0.0;
-  return opts;
-}
+using testsupport::quiet_options;
 
 TEST(SystemsTest, UnknownSystemThrows) {
   EXPECT_THROW(make_system("Nope", make_finra(5), quiet_options()),
